@@ -27,7 +27,7 @@ print("weight preserved:", family.weight() == weight(t))
 print("roundtrip recovers the tableau:", paths_to_tableau(family) == t)
 print()
 
-starts, ends = endpoints(shape, rows=7, shift=0, alphabet=8)
+starts, ends = endpoints(shape, rows=7, shift=0)
 print("start points:", starts.values)
 print("end points:  ", ends.values)
 print()

@@ -23,12 +23,12 @@ from .partitions import (
     StripDoesNotFit,
     add_strip,
     build_nu,
+    canonical_shape,
     from_points,
     peel_complete,
     peel_down,
     peel_up,
     to_points,
-    validate_partition,
 )
 from .tableaux import (
     ColumnViolation,
@@ -55,7 +55,6 @@ from .paths import (
     tableau_to_paths,
 )
 from .overlay import (
-    ZERO,
     BicolouredPath,
     CircularConfiguration,
     Colour,
@@ -69,10 +68,7 @@ from .overlay import (
     Overlay,
     PathNotInOverlay,
     all_bicoloured,
-    configuration_from_families,
-    configuration_to_shapes,
     enumerate_admissible_matchings,
-    make_overlay,
     recolour,
     trace_bicoloured,
 )

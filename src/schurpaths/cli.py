@@ -21,7 +21,7 @@ from .identities import (
 )
 from .overlay import Overlay, all_bicoloured, recolour, trace_bicoloured
 from .partitions import Partition, SkewShape, StripSpec
-from .paths import PathFamily
+from .paths import PathFamily, endpoints
 from .render import RenderSpec, render_overlay
 from .schur import skew_schur, skew_schur_eval
 from .selftest import default_seed, run_selftest
@@ -124,11 +124,9 @@ def cmd_compute(args) -> int:
 
 
 def cmd_endpoints(args) -> int:
-    from .paths import endpoints
-
     shape = parse_shape(args.shape)
     rows = args.rows if args.rows is not None else shape.rows
-    starts, ends = endpoints(shape, rows, args.shift, args.vars)
+    starts, ends = endpoints(shape, rows, args.shift)
     _emit(
         {
             "shape": shape.to_json(),
@@ -189,7 +187,7 @@ def cmd_identity_theorem(args) -> int:
     if not s:
         raise UsageError("--s must name at least one point")
     terms = recolouring_expansion(white, black, s, shifts=(0, args.shift))
-    lhs = (ProductTerm(white, black, 0, args.shift),)
+    lhs = (ProductTerm(white, black),)
     nvars = args.vars if args.vars is not None else minimal_alphabet(
         [white, black] + [sh for t in terms if not t.zero for sh in t.shapes()]
     )
@@ -296,9 +294,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

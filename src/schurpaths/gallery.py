@@ -15,7 +15,7 @@ recolouring results are asserted in the test suite.
 
 from __future__ import annotations
 
-from .overlay import Overlay, make_overlay
+from .overlay import Overlay
 from .partitions import Partition, SkewShape, StripSpec
 from .paths import tableau_to_paths
 from .tableaux import first_tableau, last_tableau, validate_tableau
@@ -55,7 +55,7 @@ STRIP_SPECS = (StripSpec(2, 2, 3), StripSpec(1, 6, 2))
 def demo_overlay_large() -> Overlay:
     white = tableau_to_paths(first_tableau(LARGE_WHITE, LARGE_ALPHABET), LARGE_WHITE_SHIFT)
     black = tableau_to_paths(last_tableau(LARGE_BLACK, LARGE_ALPHABET), LARGE_BLACK_SHIFT)
-    return make_overlay(white, black)
+    return Overlay(white, black)
 
 
 def demo_overlay_small() -> Overlay:
@@ -65,4 +65,4 @@ def demo_overlay_small() -> Overlay:
     black = tableau_to_paths(
         validate_tableau(SMALL_SHAPE, SMALL_BLACK_ROWS, SMALL_ALPHABET), SMALL_BLACK_SHIFT
     )
-    return make_overlay(white, black)
+    return Overlay(white, black)

@@ -15,11 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .overlay import (
-    ZERO,
-    CircularConfiguration,
-    enumerate_admissible_matchings,
-)
+from .overlay import CircularConfiguration, enumerate_admissible_matchings
 from .partitions import (
     ConstraintViolated,
     Partition,
@@ -48,16 +44,17 @@ class SNotInward(ValueError):
 
 @dataclass(frozen=True)
 class ProductTerm:
-    """One product s_white * s_black, or a zero placeholder."""
+    """One product s_white * s_black; both shapes are None for the zero term."""
 
     white: SkewShape | None
     black: SkewShape | None
-    white_shift: int = 0
-    black_shift: int = 0
-    zero: bool = False
+
+    @property
+    def zero(self) -> bool:
+        return self.white is None
 
     def shapes(self) -> tuple[SkewShape, SkewShape]:
-        if self.zero or self.white is None or self.black is None:
+        if self.zero:
             raise ValueError("zero term has no shapes")
         return self.white, self.black
 
@@ -69,7 +66,7 @@ class ProductTerm:
     @classmethod
     def from_json(cls, obj) -> "ProductTerm":
         if isinstance(obj, dict) and obj.get("zero"):
-            return cls(None, None, zero=True)
+            return cls(None, None)
         return cls(SkewShape.from_json(obj[0]), SkewShape.from_json(obj[1]))
 
 
@@ -181,7 +178,7 @@ def recolouring_expansion(
     ``(x, level)`` pairs with level 1 or "N".  For every admissible matching
     the edges meeting ``s`` are reoriented; each reachable configuration
     contributes one term, deduplicated, with unreachable (negative row)
-    configurations kept as zero-flagged terms.
+    configurations kept as zero terms.
     """
     config = configuration_from_shapes(white, black, shifts, rows)
     if not config.alternating:
@@ -209,11 +206,11 @@ def recolouring_expansion(
         reoriented = config.reoriented(flips)
         assert reoriented.admissible, "reorientation broke the orientation balance"
         shapes = reoriented.shapes()
-        if shapes is ZERO:
-            terms.append(ProductTerm(None, None, zero=True))
+        if shapes is None:
+            terms.append(ProductTerm(None, None))
         else:
-            (w, sw), (b, sb) = shapes
-            terms.append(ProductTerm(w, b, sw, sb))
+            (w, _), (b, _) = shapes
+            terms.append(ProductTerm(w, b))
     return tuple(terms)
 
 

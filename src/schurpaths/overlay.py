@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .partitions import PointSet, SkewShape
+from .partitions import SkewShape, canonical_shape
 from .paths import Arc, LatticePath, PathFamily, Point, family_from_paths
 
 
@@ -98,23 +98,6 @@ class ColouredPoint:
         return "N" if self.top else "1"
 
 
-class _ZeroProduct:
-    """Stands for a point configuration whose product of Schur functions is zero."""
-
-    _instance: "_ZeroProduct | None" = None
-
-    def __new__(cls) -> "_ZeroProduct":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "ZERO"
-
-
-ZERO = _ZeroProduct()
-
-
 @dataclass(frozen=True)
 class CircularConfiguration:
     """Doubled points plus the cyclically ordered coloured points."""
@@ -172,12 +155,6 @@ class CircularConfiguration:
     def inward_points(self) -> tuple[ColouredPoint, ...]:
         return tuple(p for p in self.points if p.orientation is Orientation.INWARD)
 
-    def point_at(self, x: int, top: bool) -> ColouredPoint:
-        for p in self.points:
-            if p.x == x and p.top == top:
-                return p
-        raise NotColouredPoint(f"({x}, {'N' if top else '1'}) is not a coloured point")
-
     def reoriented(self, indices: Iterable[int]) -> "CircularConfiguration":
         """Flip orientation (and hence colour) of the points at ``indices``."""
         flips = set(indices)
@@ -195,11 +172,11 @@ class CircularConfiguration:
         base += [p.x for p in self.points if p.top == top and p.colour is colour]
         return sorted(base, reverse=True)
 
-    def shapes(self):
-        """Decode the two (shape, shift) pairs, or ZERO for a negative row.
+    def shapes(self) -> tuple[tuple[SkewShape, int], tuple[SkewShape, int]] | None:
+        """Decode the white and black (shape, canonical shift) pairs.
 
-        The shift per colour is the largest one for which both decoded
-        partitions are nonnegative.
+        Returns None when some row would be negative, i.e. the configuration
+        cannot be reached and its product of Schur functions is zero.
         """
         out = []
         for colour in (Colour.WHITE, Colour.BLACK):
@@ -210,30 +187,9 @@ class CircularConfiguration:
                     f"{colour.value} has {len(ends)} end points but {len(starts)} start points"
                 )
             if any(e < s for e, s in zip(ends, starts)):
-                return ZERO
-            if ends:
-                shift = min(
-                    min(x + i for i, x in enumerate(ends, start=1)),
-                    min(x + i for i, x in enumerate(starts, start=1)),
-                )
-            else:
-                shift = 0
-            outer = PointSet(tuple(ends), shift).partition()
-            inner = PointSet(tuple(starts), shift).partition()
-            out.append((SkewShape(outer, inner), shift))
+                return None
+            out.append(canonical_shape(starts, ends))
         return (out[0], out[1])
-
-
-def configuration_from_families(
-    white: tuple[Iterable[int], Iterable[int]],
-    black: tuple[Iterable[int], Iterable[int]],
-) -> CircularConfiguration:
-    """Configuration from (starts, ends) coordinate pairs per colour."""
-    return CircularConfiguration.from_point_sets(white[0], white[1], black[0], black[1])
-
-
-def configuration_to_shapes(config: CircularConfiguration):
-    return config.shapes()
 
 
 @dataclass(frozen=True)
@@ -262,14 +218,6 @@ class Matching:
     """Index pairs on a circular configuration."""
 
     pairs: tuple[tuple[int, int], ...]
-
-    def partner(self, index: int) -> int:
-        for a, b in self.pairs:
-            if a == index:
-                return b
-            if b == index:
-                return a
-        raise KeyError(index)
 
     @property
     def is_noncrossing(self) -> bool:
@@ -337,22 +285,6 @@ class Overlay:
             return "black"
         return None
 
-    def point_colour_class(self, x: int, level: int) -> str | None:
-        """Colour class of a start/end point at the given level."""
-        if level not in (1, self.top):
-            return None
-        top = level == self.top
-        ends_w = set(self.white.end_xs() if top else self.white.start_xs())
-        ends_b = set(self.black.end_xs() if top else self.black.start_xs())
-        w, b = x in ends_w, x in ends_b
-        if w and b:
-            return "doubled"
-        if w:
-            return "white"
-        if b:
-            return "black"
-        return None
-
     def on_family(self, colour: Colour, point: Point) -> bool:
         return point in self._points[colour]
 
@@ -372,10 +304,6 @@ class Overlay:
         return table.get(point)
 
 
-def make_overlay(white: PathFamily, black: PathFamily) -> Overlay:
-    return Overlay(white, black)
-
-
 def trace_bicoloured(ov: Overlay, x: int, level: int) -> BicolouredPath:
     """Trace the bicoloured path starting at the coloured point (x, level).
 
@@ -393,7 +321,10 @@ def trace_bicoloured(ov: Overlay, x: int, level: int) -> BicolouredPath:
         colour, direction = colour.other, -direction
     arcs: list[tuple[Arc, Colour]] = []
     trail: list[Point] = [v]
-    budget = len(ov.coloured_arcs(Colour.WHITE)) + len(ov.coloured_arcs(Colour.BLACK)) + 1
+    # one more than the number of coloured arcs, |white - doubled| + |black - doubled|
+    budget = (
+        len(ov._arcs[Colour.WHITE]) + len(ov._arcs[Colour.BLACK]) - 2 * len(ov.doubled_arcs) + 1
+    )
     while True:
         arc = ov._arc_in_direction(colour, v, direction)
         if arc is None or arc in ov.doubled_arcs:
@@ -454,7 +385,7 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
                 raise PathNotInOverlay(f"arc {arc} appears in two chosen paths")
             flip_arcs[arc] = colour
         for pos in bp.endpoint_positions:
-            if pos not in {(p.x, p.top) for p in ov.configuration.points}:
+            if pos not in ov._coloured:
                 raise PathNotInOverlay(f"endpoint {pos} is not a coloured point here")
             if pos in flip_points:
                 raise PathNotInOverlay(f"endpoint {pos} appears in two chosen paths")

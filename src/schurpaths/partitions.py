@@ -91,9 +91,6 @@ class Partition(tuple):
             return False
         return all(other[i] <= self[i] for i in range(len(other)))
 
-    def to_points(self, rows: int, shift: int = 0) -> "PointSet":
-        return to_points(self, rows, shift)
-
 
 @dataclass(frozen=True)
 class PointSet:
@@ -205,6 +202,22 @@ class SkewShape:
         return cls(Partition(obj["outer"]), Partition(obj.get("inner", ())))
 
 
+def canonical_shape(starts: Sequence[int], ends: Sequence[int]) -> tuple[SkewShape, int]:
+    """Decode strictly decreasing start and end points as a shape and shift.
+
+    The shift is the largest one for which both decoded partitions are
+    nonnegative, which makes the smallest decoded part zero; with no points
+    it is 0 and the shape is empty.
+    """
+    shift = min(
+        (x + i for points in (starts, ends) for i, x in enumerate(points, start=1)),
+        default=0,
+    )
+    outer = PointSet(tuple(ends), shift).partition()
+    inner = PointSet(tuple(starts), shift).partition()
+    return SkewShape(outer, inner), shift
+
+
 @dataclass(frozen=True)
 class StripSpec:
     """A partial border strip: ``boxes`` added in ``row``, spanning ``span`` rows.
@@ -216,18 +229,6 @@ class StripSpec:
     boxes: int
     row: int
     span: int
-
-    def to_json(self) -> dict:
-        return {"t": self.boxes, "r": self.row, "m": self.span}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "StripSpec":
-        return cls(int(obj["t"]), int(obj["r"]), int(obj["m"]))
-
-
-def validate_partition(seq: Sequence[int]) -> Partition:
-    """Checked constructor; rejects increasing runs and negative entries."""
-    return Partition(seq)
 
 
 def peel_complete(p: Partition) -> Partition:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .partitions import Partition, PointSet, SkewShape, to_points
+from .partitions import PointSet, SkewShape, canonical_shape, to_points
 from .tableaux import Tableau, validate_tableau
 
 Point = tuple[int, int]
@@ -191,25 +191,17 @@ def family_from_paths(paths: Iterable[LatticePath], alphabet: int) -> PathFamily
     endpoints fit no skew shape.
     """
     ordered = sorted(paths, key=lambda p: p.start[0], reverse=True)
-    if not ordered:
-        return PathFamily((), SkewShape(Partition()), 0, alphabet)
     starts = [p.start[0] for p in ordered]
     ends = [p.end[0] for p in ordered]
     if any(a <= b for a, b in zip(ends, ends[1:])):
         raise MalformedFamily("end points out of order for start point order")
-    shift = min(
-        min(x + i for i, x in enumerate(starts, start=1)),
-        min(x + i for i, x in enumerate(ends, start=1)),
-    )
     try:
-        inner = PointSet(tuple(starts), shift).partition()
-        outer = PointSet(tuple(ends), shift).partition()
-        shape = SkewShape(outer, inner)
+        shape, shift = canonical_shape(starts, ends)
     except ValueError as exc:
         raise MalformedFamily(str(exc)) from exc
     return PathFamily(tuple(ordered), shape, shift, alphabet)
 
 
-def endpoints(shape: SkewShape, rows: int, shift: int, alphabet: int) -> tuple[PointSet, PointSet]:
-    """Start points (level 1) and end points (level ``alphabet``) of a family."""
+def endpoints(shape: SkewShape, rows: int, shift: int) -> tuple[PointSet, PointSet]:
+    """Start points (bottom level) and end points (top level) of a family."""
     return to_points(shape.inner, rows, shift), to_points(shape.outer, rows, shift)

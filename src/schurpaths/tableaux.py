@@ -52,13 +52,6 @@ class Tableau:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
 
-    def entry(self, i: int, j: int) -> int:
-        """Entry at 0-indexed row ``i`` and diagram column ``j``."""
-        lo, hi = self.shape.row_span(i)
-        if not lo <= j < hi:
-            raise ShapeMismatch(f"no cell at ({i}, {j})")
-        return self.rows[i][j - lo]
-
     def to_json(self) -> dict:
         return {
             "shape": self.shape.to_json(),
@@ -131,22 +124,37 @@ def _fill(shape, alphabet, candidates) -> Iterator[Tableau]:
             d += 1
         below[(i, j)] = d
 
-    def rec(k: int) -> Iterator[Tableau]:
-        if k == len(cells):
-            yield Tableau(shape, tuple(tuple(r) for r in acc), alphabet)
-            return
+    def options(k: int) -> Iterator[int]:
         i, j = cells[k]
         lo = 1
         if j - 1 >= spans[i][0]:
             lo = max(lo, acc[i][-1])
         if i > 0 and shape.has_cell(i - 1, j):
             lo = max(lo, acc[i - 1][j - spans[i - 1][0]] + 1)
-        for v in candidates(lo, alphabet - below[(i, j)]):
-            acc[i].append(v)
-            yield from rec(k + 1)
-            acc[i].pop()
+        return iter(candidates(lo, alphabet - below[(i, j)]))
 
-    yield from rec(0)
+    if not cells:
+        yield Tableau(shape, tuple(tuple(r) for r in acc), alphabet)
+        return
+    # Depth-first with an explicit stack, so that long rows cannot exhaust the
+    # interpreter's recursion limit.  stack[k] iterates the values of cell k;
+    # while it is on top, acc holds the values of cells 0..k-1.
+    stack = [options(0)]
+    while stack:
+        k = len(stack) - 1
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            if k:
+                acc[cells[k - 1][0]].pop()
+            continue
+        row = acc[cells[k][0]]
+        row.append(v)
+        if k + 1 == len(cells):
+            yield Tableau(shape, tuple(tuple(r) for r in acc), alphabet)
+            row.pop()
+        else:
+            stack.append(options(k + 1))
 
 
 def first_tableau(shape: SkewShape, alphabet: int) -> Tableau | None:

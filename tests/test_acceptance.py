@@ -12,6 +12,7 @@ import time
 
 from schurpaths import (
     Identity,
+    Overlay,
     Partition,
     ProductTerm,
     SkewShape,
@@ -22,7 +23,6 @@ from schurpaths import (
     configuration_from_shapes,
     enumerate_ssyt,
     family_from_paths,
-    make_overlay,
     paths_to_tableau,
     peel_complete,
     recolour,
@@ -202,7 +202,7 @@ def test_criterion_5_involution_suite():
     overlays = 0
     while overlays < 1000:
         n = sampler.rng.randint(2, 4)
-        ov = make_overlay(sampler.family(n), sampler.family(n))
+        ov = Overlay(sampler.family(n), sampler.family(n))
         paths, matching = all_bicoloured(ov)  # checks retracing per point
         by_idx = {p.index: p for p in ov.configuration.points}
         for a, b in matching.pairs:

@@ -51,6 +51,11 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["polynomial"]["terms"] == []
 
+    def test_row_longer_than_recursion_limit(self, capsys):
+        code, out = run(capsys, "compute", "--shape", "1100/", "--vars", "1")
+        assert code == 0
+        assert json.loads(out)["polynomial"]["terms"] == [{"exp": [1100], "coeff": "1"}]
+
     def test_eval(self, capsys):
         code, out = run(capsys, "compute", "--shape", "2,1/", "--vars", "2",
                         "--method", "eval", "--point", "1,1")

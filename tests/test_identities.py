@@ -185,7 +185,7 @@ class TestJson:
         assert again.alphabet == 11
 
     def test_zero_term_roundtrip(self):
-        term = ProductTerm(None, None, zero=True)
+        term = ProductTerm(None, None)
         assert ProductTerm.from_json(term.to_json()).zero
 
 

@@ -4,7 +4,6 @@ import operator
 import pytest
 
 from schurpaths import (
-    ZERO,
     CircularConfiguration,
     Colour,
     ColouredPoint,
@@ -13,14 +12,13 @@ from schurpaths import (
     NotColouredPoint,
     OddColouredCount,
     Orientation,
+    Overlay,
     Partition,
     PathNotInOverlay,
     SkewShape,
     all_bicoloured,
-    configuration_to_shapes,
     enumerate_admissible_matchings,
     family_from_paths,
-    make_overlay,
     recolour,
     tableau_to_paths,
     trace_bicoloured,
@@ -54,28 +52,28 @@ class TestMakeOverlay:
     def test_identical_families_all_doubled(self):
         w = _family((2, 1), (), [[1, 1], [2]], 2)
         b = _family((2, 1), (), [[1, 1], [2]], 2)
-        ov = make_overlay(w, b)
+        ov = Overlay(w, b)
         assert ov.configuration.points == ()
         assert ov.configuration.admissible
         assert ov.coloured_arcs(Colour.WHITE) == set()
         assert ov.coloured_arcs(Colour.BLACK) == set()
 
     def test_disjoint_singles_four_coloured(self):
-        ov = make_overlay(_single((1,), (), [1], 2, shift=0), _single((1,), (), [2], 2, shift=5))
+        ov = Overlay(_single((1,), (), [1], 2, shift=0), _single((1,), (), [2], 2, shift=5))
         assert len(ov.configuration.points) == 4
 
     def test_level_mismatch(self):
         with pytest.raises(LevelMismatch):
-            make_overlay(_single((1,), (), [1], 2), _single((1,), (), [1], 3))
+            Overlay(_single((1,), (), [1], 2), _single((1,), (), [1], 3))
 
     def test_single_level_rejected(self):
         with pytest.raises(LevelMismatch):
-            make_overlay(_single((1,), (), [1], 1), _single((1,), (), [1], 1))
+            Overlay(_single((1,), (), [1], 1), _single((1,), (), [1], 1))
 
     def test_arc_classes(self):
         w = _single((2,), (), [1, 1], 2)
         b = _single((2,), (), [1, 1], 2, shift=1)
-        ov = make_overlay(w, b)
+        ov = Overlay(w, b)
         assert ov.arc_colour_class(((0, 1), (1, 1))) == "doubled"
         assert ov.arc_colour_class(((-1, 1), (0, 1))) == "white"
         assert ov.arc_colour_class(((1, 1), (2, 1))) == "black"
@@ -84,20 +82,22 @@ class TestMakeOverlay:
     def test_point_classes(self):
         w = _single((2,), (), [1, 1], 2)
         b = _single((2,), (), [1, 1], 2, shift=1)
-        ov = make_overlay(w, b)
-        assert ov.point_colour_class(1, 2) == "white"  # white end
-        assert ov.point_colour_class(2, 2) == "black"  # black end
-        assert ov.point_colour_class(-1, 1) == "white"
-        assert ov.point_colour_class(0, 1) == "black"
-        assert ov.point_colour_class(7, 1) is None
-        assert ov.point_colour_class(0, 5) is None
-        identical = make_overlay(w, _single((2,), (), [1, 1], 2))
-        assert identical.point_colour_class(-1, 1) == "doubled"
+        ov = Overlay(w, b)
+        assert ov.coloured_point(1, 2).colour is Colour.WHITE  # white end
+        assert ov.coloured_point(2, 2).colour is Colour.BLACK  # black end
+        assert ov.coloured_point(-1, 1).colour is Colour.WHITE
+        assert ov.coloured_point(0, 1).colour is Colour.BLACK
+        with pytest.raises(NotColouredPoint):
+            ov.coloured_point(7, 1)
+        with pytest.raises(NotColouredPoint):
+            ov.coloured_point(0, 5)
+        identical = Overlay(w, _single((2,), (), [1, 1], 2))
+        assert identical.configuration.doubled_bottom == (-1,)
+        with pytest.raises(NotColouredPoint):
+            identical.coloured_point(-1, 1)
 
-    def test_configuration_from_families(self):
-        from schurpaths import configuration_from_families
-
-        cfg = configuration_from_families(((0,), (3,)), ((1,), (2,)))
+    def test_configuration_from_point_sets(self):
+        cfg = CircularConfiguration.from_point_sets((0,), (3,), (1,), (2,))
         assert [(p.x, p.level_name, p.colour) for p in cfg.points] == [
             (3, "N", Colour.WHITE),
             (2, "N", Colour.BLACK),
@@ -119,7 +119,7 @@ class TestCircularOrder:
         assert cfg.alternating
 
     def test_orientation_convention(self):
-        ov = make_overlay(_single((1,), (), [1], 2, shift=0), _single((1,), (), [2], 2, shift=5))
+        ov = Overlay(_single((1,), (), [1], 2, shift=0), _single((1,), (), [2], 2, shift=5))
         by_pos = {(p.x, p.top): p for p in ov.configuration.points}
         assert by_pos[(0, True)].orientation is Orientation.INWARD  # white end
         assert by_pos[(-1, False)].orientation is Orientation.OUTWARD  # white start
@@ -136,7 +136,7 @@ class TestTrace:
     def test_disjoint_runs_whole_path(self):
         white = _single((1,), (), [1], 3, shift=0)
         black = _single((1,), (), [2], 3, shift=10)
-        ov = make_overlay(white, black)
+        ov = Overlay(white, black)
         bp = trace_bicoloured(ov, 0, 3)
         assert (bp.end.x, bp.end.top) == (-1, False)
         assert len(bp.arcs) == len(white.paths[0].steps)
@@ -151,7 +151,7 @@ class TestTrace:
 
     def test_not_coloured(self):
         w = _family((2, 1), (), [[1, 1], [2]], 2)
-        ov = make_overlay(w, w)
+        ov = Overlay(w, w)
         with pytest.raises(NotColouredPoint):
             trace_bicoloured(ov, 1, 2)
 
@@ -179,11 +179,11 @@ class TestTrace:
 class TestAllBicoloured:
     def test_identical_families_empty(self):
         w = _family((2, 1), (), [[1, 1], [2]], 2)
-        assert all_bicoloured(make_overlay(w, w))[0] == ()
+        assert all_bicoloured(Overlay(w, w))[0] == ()
 
     def test_matching_structure(self, sampler):
         for _ in range(60):
-            ov = make_overlay(sampler.family(3), sampler.family(3))
+            ov = Overlay(sampler.family(3), sampler.family(3))
             paths, matching = all_bicoloured(ov)
             by_idx = {p.index: p for p in ov.configuration.points}
             for a, b in matching.pairs:
@@ -193,7 +193,7 @@ class TestAllBicoloured:
 
     def test_odd_degree_exactly_at_coloured_points(self, sampler):
         for _ in range(40):
-            ov = make_overlay(sampler.family(4), sampler.family(4))
+            ov = Overlay(sampler.family(4), sampler.family(4))
             arcs = ov.coloured_arcs(Colour.WHITE) | ov.coloured_arcs(Colour.BLACK)
             deg = collections.Counter()
             for tail, head in arcs:
@@ -205,7 +205,7 @@ class TestAllBicoloured:
 
     def test_paths_arc_disjoint_with_even_leftover(self, sampler):
         for _ in range(40):
-            ov = make_overlay(sampler.family(3), sampler.family(3))
+            ov = Overlay(sampler.family(3), sampler.family(3))
             paths, _ = all_bicoloured(ov)
             used = [a for q in paths for a in q.arc_set()]
             assert len(used) == len(set(used))
@@ -237,7 +237,7 @@ class TestRecolour:
     def test_involution(self, sampler):
         for _ in range(40):
             w, b = sampler.family(3), sampler.family(3)
-            ov = make_overlay(w, b)
+            ov = Overlay(w, b)
             paths, _ = all_bicoloured(ov)
             ov2 = recolour(ov, paths)
             paths2, _ = all_bicoloured(ov2)
@@ -248,7 +248,7 @@ class TestRecolour:
 
     def test_weight_product_invariant(self, sampler):
         for _ in range(40):
-            ov = make_overlay(sampler.family(4), sampler.family(4))
+            ov = Overlay(sampler.family(4), sampler.family(4))
             paths, _ = all_bicoloured(ov)
             before = tuple(map(operator.add, ov.white.weight(), ov.black.weight()))
             ov2 = recolour(ov, paths)
@@ -257,7 +257,7 @@ class TestRecolour:
 
     def test_foreign_path_rejected(self):
         ov = demo_overlay_small()
-        other = make_overlay(
+        other = Overlay(
             _single((1,), (), [1], 8, shift=0), _single((1,), (), [2], 8, shift=5)
         )
         foreign = all_bicoloured(other)[0]
@@ -302,13 +302,13 @@ class TestMatchingEnumeration:
 class TestConfigurationToShapes:
     def test_untouched_overlay_recovers_shapes(self):
         ov = demo_overlay_small()
-        (w, sw), (b, sb) = configuration_to_shapes(ov.configuration)
+        (w, sw), (b, sb) = ov.configuration.shapes()
         assert w == ov.white.shape and sw == ov.white.shift
         assert b == ov.black.shape and sb == ov.black.shift
 
     def test_zero_when_end_left_of_start(self):
         cfg = CircularConfiguration.from_point_sets({1}, {0}, (), ())
-        assert configuration_to_shapes(cfg) is ZERO
+        assert cfg.shapes() is None
 
     def test_reorientation_golden(self):
         cfg = demo_overlay_large().configuration

@@ -17,12 +17,12 @@ from schurpaths import (
     StripSpec,
     add_strip,
     build_nu,
+    canonical_shape,
     from_points,
     peel_complete,
     peel_down,
     peel_up,
     to_points,
-    validate_partition,
 )
 from conftest import partitions_up_to
 
@@ -32,19 +32,19 @@ NU = Partition((10, 9, 8, 8, 6, 5, 5, 3, 2, 2))
 
 class TestValidatePartition:
     def test_long_partition(self):
-        assert len(validate_partition((10, 7, 7, 6, 6, 4, 4, 3, 2, 2))) == 10
+        assert len(Partition((10, 7, 7, 6, 6, 4, 4, 3, 2, 2))) == 10
 
     def test_trailing_zeros_dropped(self):
-        assert validate_partition((3, 1, 0, 0)) == Partition((3, 1))
-        assert len(validate_partition((3, 1, 0, 0))) == 2
+        assert Partition((3, 1, 0, 0)) == Partition((3, 1))
+        assert len(Partition((3, 1, 0, 0))) == 2
 
     def test_not_weakly_decreasing(self):
         with pytest.raises(NotWeaklyDecreasing):
-            validate_partition((2, 3))
+            Partition((2, 3))
 
     def test_negative_part(self):
         with pytest.raises(NegativePart):
-            validate_partition((2, -1))
+            Partition((2, -1))
 
     def test_part_padding(self):
         p = Partition((3, 1))
@@ -79,6 +79,11 @@ class TestPoints:
     def test_negative_resulting_part(self):
         with pytest.raises(NegativeResultingPart):
             from_points(PointSet((-2,), 0))
+
+    def test_canonical_shape(self):
+        assert canonical_shape((), ()) == (SkewShape(Partition()), 0)
+        # the largest shift keeping every part nonnegative empties the last row
+        assert canonical_shape((3, 0), (5, 1)) == (SkewShape(Partition((4, 1)), Partition((2,))), 2)
 
     def test_strictly_decreasing_required(self):
         with pytest.raises(ValueError):

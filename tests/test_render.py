@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from schurpaths import (
+    Overlay,
     Partition,
     RenderSpec,
     SkewShape,
@@ -35,9 +36,7 @@ class TestOverlaySvg:
 
     def test_empty_overlay_axes_only(self):
         empty = PathFamily((), SkewShape(Partition()), 0, 3)
-        from schurpaths import make_overlay
-
-        svg = render_overlay(make_overlay(empty, empty))
+        svg = render_overlay(Overlay(empty, empty))
         root, tags = _tags(svg)
         assert tags.count("path") == 3  # one grid line per level
         assert tags.count("circle") == 0

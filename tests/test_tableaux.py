@@ -117,6 +117,22 @@ class TestExtremesAndRandom:
             t = random_tableau(FIG_SHAPE, 8, rng)
             assert validate_tableau(FIG_SHAPE, t.rows, 8) == t
 
+    @pytest.mark.parametrize(
+        "seed, rows, next_draw",
+        [
+            (0, ((1, 5), (1, 4), (3, 5, 5), (5,)), 325213),
+            (1, ((2, 5), (1, 4), (3, 3, 5), (5,)), 729633),
+            (2, ((2, 4), (4, 4), (2, 5, 5), (3,)), 842708),
+        ],
+    )
+    def test_random_pinned_per_seed(self, seed, rows, next_draw):
+        # Pins both the filling and how much of the generator it consumed,
+        # which seeded workloads drawing several tableaux rely on.
+        rng = random.Random(seed)
+        t = random_tableau(SkewShape(Partition((4, 3, 3, 1)), Partition((2, 1))), 5, rng)
+        assert t.rows == rows
+        assert rng.randrange(10**6) == next_draw
+
     def test_json_roundtrip(self):
         t = first_tableau(FIG_SHAPE, 8)
         assert Tableau.from_json(t.to_json()) == t
