@@ -95,6 +95,6 @@ from .identities import (
     strips_match_recolouring,
     verify_identity,
 )
-from .render import RenderSpec, render_configuration, render_ferrers, render_overlay
+from .render import render_configuration, render_ferrers, render_overlay
 
 __version__ = "0.1.0"

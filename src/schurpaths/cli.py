@@ -15,14 +15,13 @@ from .identities import (
     Identity,
     ProductTerm,
     border_strip_identity,
-    minimal_alphabet,
     recolouring_expansion,
     verify_identity,
 )
 from .overlay import Overlay, all_bicoloured, recolour, trace_bicoloured
 from .partitions import Partition, SkewShape, StripSpec
 from .paths import PathFamily, endpoints
-from .render import RenderSpec, render_overlay
+from .render import render_overlay
 from .schur import skew_schur, skew_schur_eval
 from .selftest import default_seed, run_selftest
 
@@ -187,11 +186,7 @@ def cmd_identity_theorem(args) -> int:
     if not s:
         raise UsageError("--s must name at least one point")
     terms = recolouring_expansion(white, black, s, shifts=(0, args.shift))
-    lhs = (ProductTerm(white, black),)
-    nvars = args.vars if args.vars is not None else minimal_alphabet(
-        [white, black] + [sh for t in terms if not t.zero for sh in t.shapes()]
-    )
-    identity = Identity(lhs, terms, nvars, "recolouring expansion")
+    identity = Identity((ProductTerm(white, black),), terms, args.vars, "recolouring expansion")
     return _verify_and_emit(identity, args)
 
 
@@ -210,7 +205,7 @@ def cmd_render(args) -> int:
         for x, level in parse_points(args.highlight):
             y = ov.top if level == "N" else 1
             highlight.append(trace_bicoloured(ov, x, y))
-    svg = render_overlay(ov, highlight, RenderSpec(scale=args.scale))
+    svg = render_overlay(ov, highlight, scale=args.scale)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .overlay import CircularConfiguration, enumerate_admissible_matchings
 from .partitions import (
@@ -40,6 +40,10 @@ class EmptyS(ValueError):
 
 class SNotInward(ValueError):
     pass
+
+
+# ``auto`` expands in full when the estimated tableau count is at most this.
+AUTO_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -72,12 +76,19 @@ class ProductTerm:
 
 @dataclass(frozen=True)
 class Identity:
-    """An asserted equality between two sums of products of skew Schur functions."""
+    """An asserted equality between two sums of products of skew Schur functions.
+
+    ``alphabet`` defaults to the smallest one at which every shape has a filling.
+    """
 
     lhs: tuple[ProductTerm, ...]
     rhs: tuple[ProductTerm, ...]
-    alphabet: int
+    alphabet: int | None = None
     provenance: str = ""
+
+    def __post_init__(self) -> None:
+        if self.alphabet is None:
+            object.__setattr__(self, "alphabet", minimal_alphabet(self.all_shapes()))
 
     def all_shapes(self) -> list[SkewShape]:
         shapes = []
@@ -245,11 +256,7 @@ def border_strip_identity(
                 SkewShape(peel_down(nu, s.row), mu),
             )
         )
-    terms = tuple(rhs)
-    n = alphabet if alphabet is not None else minimal_alphabet(
-        [t for term in (lhs + terms) for t in term.shapes()]
-    )
-    return Identity(lhs, terms, n, "border-strip expansion")
+    return Identity(lhs, tuple(rhs), alphabet, "border-strip expansion")
 
 
 def strips_match_recolouring(
@@ -281,21 +288,13 @@ def strips_match_recolouring(
     return sorted(map(key, terms)) == sorted(map(key, ident.rhs))
 
 
-def _side_polynomial(terms: Sequence[ProductTerm], nvars: int) -> Polynomial:
-    total = Polynomial.zero(nvars)
+def _side(terms: Sequence[ProductTerm], schur_of: Callable[[SkewShape], object], zero):
+    """The sum over ``terms`` of schur_of(white) * schur_of(black), from ``zero``."""
+    total = zero
     for t in terms:
         if t.zero:
             continue
-        total = total + skew_schur(t.white, nvars) * skew_schur(t.black, nvars)
-    return total
-
-
-def _side_value(terms: Sequence[ProductTerm], point: Sequence[int]) -> int:
-    total = 0
-    for t in terms:
-        if t.zero:
-            continue
-        total += skew_schur_eval(t.white, point) * skew_schur_eval(t.black, point)
+        total = total + schur_of(t.white) * schur_of(t.black)
     return total
 
 
@@ -310,22 +309,22 @@ def verify_identity(
     method: str = "auto",
     points: int = 20,
     seed: int = 42,
-    budget: int = 10**6,
     keep_values: bool = False,
 ) -> VerificationReport:
     """Compare the two sides exactly.
 
     ``full`` expands both sides as polynomials; ``multipoint`` evaluates at
-    seeded random points with entries in 0..4 and requires equality at every
-    point; ``auto`` picks full when the estimated tableau count fits the
-    budget.  Failures carry the witnessing point.
+    ``points`` seeded random points with entries in 0..4 and requires
+    equality at every point; ``auto`` picks full when the estimated tableau
+    count fits ``AUTO_BUDGET``.  Failures carry the witnessing point.
     """
     t0 = time.perf_counter()
+    n = identity.alphabet
     if method == "auto":
-        method = "full" if estimate_expansion_size(identity) <= budget else "multipoint"
+        method = "full" if estimate_expansion_size(identity) <= AUTO_BUDGET else "multipoint"
     if method == "full":
-        lhs = _side_polynomial(identity.lhs, identity.alphabet)
-        rhs = _side_polynomial(identity.rhs, identity.alphabet)
+        lhs = _side(identity.lhs, lambda sh: skew_schur(sh, n), Polynomial.zero(n))
+        rhs = _side(identity.rhs, lambda sh: skew_schur(sh, n), Polynomial.zero(n))
         coeffs = [abs(c) for c in lhs.terms.values()] + [abs(c) for c in rhs.terms.values()]
         ok = lhs == rhs
         witness = None
@@ -338,15 +337,17 @@ def verify_identity(
         )
     if method != "multipoint":
         raise ValueError(f"unknown method {method!r}")
+    if points < 1:
+        raise ValueError(f"multipoint verification needs at least one point, got {points}")
     rng = random.Random(seed)
     max_abs = 0
     witness = None
     per_point = []
     verdict = "pass"
     for _ in range(points):
-        point = tuple(rng.randint(0, 4) for _ in range(identity.alphabet))
-        lv = _side_value(identity.lhs, point)
-        rv = _side_value(identity.rhs, point)
+        point = tuple(rng.randint(0, 4) for _ in range(n))
+        lv = _side(identity.lhs, lambda sh: skew_schur_eval(sh, point), 0)
+        rv = _side(identity.rhs, lambda sh: skew_schur_eval(sh, point), 0)
         max_abs = max(max_abs, abs(lv), abs(rv))
         if keep_values:
             per_point.append((point, lv, rv))

@@ -62,22 +62,6 @@ class Orientation(Enum):
     INWARD = "in"
     OUTWARD = "out"
 
-    @property
-    def flipped(self) -> "Orientation":
-        return Orientation.OUTWARD if self is Orientation.INWARD else Orientation.INWARD
-
-
-def orientation_for(colour: Colour, top: bool) -> Orientation:
-    if colour is Colour.WHITE:
-        return Orientation.INWARD if top else Orientation.OUTWARD
-    return Orientation.OUTWARD if top else Orientation.INWARD
-
-
-def colour_for(orientation: Orientation, top: bool) -> Colour:
-    if top:
-        return Colour.WHITE if orientation is Orientation.INWARD else Colour.BLACK
-    return Colour.WHITE if orientation is Orientation.OUTWARD else Colour.BLACK
-
 
 @dataclass(frozen=True)
 class ColouredPoint:
@@ -90,8 +74,13 @@ class ColouredPoint:
     x: int
     top: bool
     colour: Colour
-    orientation: Orientation
     index: int
+
+    @property
+    def orientation(self) -> Orientation:
+        """White points are inward on top and outward at the bottom; black the reverse."""
+        inward = (self.colour is Colour.WHITE) == self.top
+        return Orientation.INWARD if inward else Orientation.OUTWARD
 
     @property
     def level_name(self) -> str:
@@ -129,9 +118,9 @@ class CircularConfiguration:
         bottom.sort(key=lambda t: t[0])
         pts = []
         for x, colour in top:
-            pts.append(ColouredPoint(x, True, colour, orientation_for(colour, True), len(pts) + 1))
+            pts.append(ColouredPoint(x, True, colour, len(pts) + 1))
         for x, colour in bottom:
-            pts.append(ColouredPoint(x, False, colour, orientation_for(colour, False), len(pts) + 1))
+            pts.append(ColouredPoint(x, False, colour, len(pts) + 1))
         return cls(
             tuple(pts),
             tuple(sorted(we & be, reverse=True)),
@@ -156,16 +145,13 @@ class CircularConfiguration:
         return tuple(p for p in self.points if p.orientation is Orientation.INWARD)
 
     def reoriented(self, indices: Iterable[int]) -> "CircularConfiguration":
-        """Flip orientation (and hence colour) of the points at ``indices``."""
+        """Flip the colour (and hence orientation) of the points at ``indices``."""
         flips = set(indices)
-        pts = []
-        for p in self.points:
-            if p.index in flips:
-                o = p.orientation.flipped
-                pts.append(ColouredPoint(p.x, p.top, colour_for(o, p.top), o, p.index))
-            else:
-                pts.append(p)
-        return CircularConfiguration(tuple(pts), self.doubled_top, self.doubled_bottom)
+        pts = tuple(
+            ColouredPoint(p.x, p.top, p.colour.other, p.index) if p.index in flips else p
+            for p in self.points
+        )
+        return CircularConfiguration(pts, self.doubled_top, self.doubled_bottom)
 
     def colour_point_xs(self, colour: Colour, top: bool) -> list[int]:
         base = list(self.doubled_top if top else self.doubled_bottom)
@@ -228,10 +214,8 @@ class Matching:
         return True
 
     def joins_opposite(self, config: CircularConfiguration) -> bool:
-        by_index = {p.index: p for p in config.points}
-        return all(
-            by_index[a].orientation is not by_index[b].orientation for a, b in self.pairs
-        )
+        pts = config.points
+        return all(pts[a - 1].orientation is not pts[b - 1].orientation for a, b in self.pairs)
 
 
 class Overlay:
@@ -249,10 +233,6 @@ class Overlay:
         self.top = white.alphabet
         self._arcs = {Colour.WHITE: white.arcs(), Colour.BLACK: black.arcs()}
         self.doubled_arcs = frozenset(self._arcs[Colour.WHITE] & self._arcs[Colour.BLACK])
-        self._points = {
-            Colour.WHITE: white.lattice_points(),
-            Colour.BLACK: black.lattice_points(),
-        }
         self._out: dict[Colour, dict[Point, Arc]] = {}
         self._in: dict[Colour, dict[Point, Arc]] = {}
         for colour in Colour:
@@ -286,7 +266,8 @@ class Overlay:
         return None
 
     def on_family(self, colour: Colour, point: Point) -> bool:
-        return point in self._points[colour]
+        # with two or more levels every path has an arc, so its points are arc ends
+        return point in self._out[colour] or point in self._in[colour]
 
     def coloured_point(self, x: int, level: int) -> ColouredPoint:
         if level == self.top:
@@ -298,10 +279,6 @@ class Overlay:
         if key not in self._coloured:
             raise NotColouredPoint(f"({x}, {level}) is not a coloured point")
         return self._coloured[key]
-
-    def _arc_in_direction(self, colour: Colour, point: Point, direction: int) -> Arc | None:
-        table = self._out[colour] if direction > 0 else self._in[colour]
-        return table.get(point)
 
 
 def trace_bicoloured(ov: Overlay, x: int, level: int) -> BicolouredPath:
@@ -326,7 +303,7 @@ def trace_bicoloured(ov: Overlay, x: int, level: int) -> BicolouredPath:
         len(ov._arcs[Colour.WHITE]) + len(ov._arcs[Colour.BLACK]) - 2 * len(ov.doubled_arcs) + 1
     )
     while True:
-        arc = ov._arc_in_direction(colour, v, direction)
+        arc = (ov._out if direction > 0 else ov._in)[colour].get(v)
         if arc is None or arc in ov.doubled_arcs:
             break
         arcs.append((arc, colour))
@@ -376,7 +353,7 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
     """
     chosen = list(chosen)
     flip_arcs: dict[Arc, Colour] = {}
-    flip_points: set[tuple[int, bool]] = set()
+    flip_indices: set[int] = set()
     for bp in chosen:
         for arc, colour in bp.arcs:
             if ov.arc_colour_class(arc) != colour.value:
@@ -387,9 +364,10 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
         for pos in bp.endpoint_positions:
             if pos not in ov._coloured:
                 raise PathNotInOverlay(f"endpoint {pos} is not a coloured point here")
-            if pos in flip_points:
+            index = ov._coloured[pos].index
+            if index in flip_indices:
                 raise PathNotInOverlay(f"endpoint {pos} appears in two chosen paths")
-            flip_points.add(pos)
+            flip_indices.add(index)
 
     arcs = {
         Colour.WHITE: set(ov._arcs[Colour.WHITE]),
@@ -399,36 +377,24 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
         arcs[colour].discard(arc)
         arcs[colour.other].add(arc)
 
-    starts = {
-        Colour.WHITE: set(ov.white.start_xs()),
-        Colour.BLACK: set(ov.black.start_xs()),
-    }
-    ends = {
-        Colour.WHITE: set(ov.white.end_xs()),
-        Colour.BLACK: set(ov.black.end_xs()),
-    }
-    for x, top in flip_points:
-        table = ends if top else starts
-        source = Colour.WHITE if x in table[Colour.WHITE] else Colour.BLACK
-        table[source].discard(x)
-        table[source.other].add(x)
-
+    config = ov.configuration.reoriented(flip_indices)
     families = {}
     for colour in Colour:
         families[colour] = _assemble_family(
-            arcs[colour], starts[colour], ends[colour], ov.top
+            arcs[colour], config.colour_point_xs(colour, False),
+            config.colour_point_xs(colour, True), ov.top,
         )
     return Overlay(families[Colour.WHITE], families[Colour.BLACK])
 
 
-def _assemble_family(arc_set: set[Arc], start_xs: set[int], end_xs: set[int], top: int) -> PathFamily:
+def _assemble_family(arc_set: set[Arc], start_xs: list[int], end_xs: list[int], top: int) -> PathFamily:
     out: dict[Point, Arc] = {}
     for arc in arc_set:
         if arc[0] in out:
             raise AssertionError("recoloured family intersects itself")
         out[arc[0]] = arc
     paths = []
-    for x in sorted(start_xs, reverse=True):
+    for x in start_xs:
         v: Point = (x, 1)
         steps: list[str] = []
         while v in out:
@@ -439,7 +405,7 @@ def _assemble_family(arc_set: set[Arc], start_xs: set[int], end_xs: set[int], to
             raise AssertionError(f"walk from ({x}, 1) ends at {v}, not an end point")
         paths.append(LatticePath((x, 1), tuple(steps)))
     fam = family_from_paths(paths, top)
-    if {p.end[0] for p in fam.paths} != end_xs:
+    if [p.end[0] for p in fam.paths] != end_xs:
         raise AssertionError("assembled family misses an end point")
     return fam
 
@@ -450,12 +416,11 @@ def enumerate_admissible_matchings(config: CircularConfiguration) -> tuple[Match
     Deterministic order: the first point is matched to candidates left to
     right, recursing on the enclosed and remaining segments.
     """
-    inward = sum(1 for p in config.points if p.orientation is Orientation.INWARD)
-    if inward * 2 != len(config.points):
+    if not config.admissible:
         raise NotAdmissibleConfiguration(
-            f"{inward} inward of {len(config.points)} points"
+            f"{len(config.inward_points())} inward of {len(config.points)} points"
         )
-    pts = config.points
+    orientations = [p.orientation for p in config.points]
 
     def rec(segment: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
         if not segment:
@@ -464,11 +429,11 @@ def enumerate_admissible_matchings(config: CircularConfiguration) -> tuple[Match
         first = segment[0]
         for k in range(1, len(segment), 2):
             j = segment[k]
-            if pts[first - 1].orientation is pts[j - 1].orientation:
+            if orientations[first - 1] is orientations[j - 1]:
                 continue
             for left in rec(segment[1:k]):
                 for right in rec(segment[k + 1 :]):
                     yield ((first, j),) + left + right
 
-    indices = tuple(p.index for p in pts)
+    indices = tuple(p.index for p in config.points)
     return tuple(Matching(tuple(sorted(pairs))) for pairs in rec(indices))

@@ -10,25 +10,22 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .overlay import BicolouredPath, CircularConfiguration, Colour, Orientation, Overlay
 from .partitions import SkewShape
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    scale: int = 24
-    margin: int = 20
-    white_colour: str = "#888888"
-    black_colour: str = "#000000"
-    highlight_colour: str = "#bbbbbb"
-    grid_colour: str = "#dddddd"
+MARGIN = 20
+WHITE_COLOUR = "#888888"
+BLACK_COLOUR = "#000000"
+HIGHLIGHT_COLOUR = "#bbbbbb"
+GRID_COLOUR = "#dddddd"
 
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+
+def _check_scale(scale: int) -> None:
+    if scale <= 0:
+        raise ValueError("scale must be positive")
 
 
 def _svg_root(width: int, height: int) -> ET.Element:
@@ -54,13 +51,14 @@ def _to_text(root: ET.Element) -> str:
 def render_overlay(
     ov: Overlay,
     highlight: Iterable[BicolouredPath] = (),
-    spec: RenderSpec = RenderSpec(),
+    scale: int = 24,
 ) -> str:
     """The two families over the lattice, with optional bicoloured highlights."""
+    _check_scale(scale)
     pts = ov.white.lattice_points() | ov.black.lattice_points()
     xs = [p[0] for p in pts] or [0]
     x_lo, x_hi = min(xs), max(xs)
-    s, m = spec.scale, spec.margin
+    s, m = scale, MARGIN
 
     def cx(x: int) -> float:
         return m + (x - x_lo) * s
@@ -77,12 +75,12 @@ def render_overlay(
         _polyline(
             grid,
             [(cx(x_lo) - s / 2, cy(level)), (cx(x_hi) + s / 2, cy(level))],
-            stroke=spec.grid_colour,
+            stroke=GRID_COLOUR,
         )
 
     for colour, fam, style in (
-        (Colour.BLACK, ov.black, {"stroke": spec.black_colour}),
-        (Colour.WHITE, ov.white, {"stroke": spec.white_colour, "stroke-dasharray": "4 3"}),
+        (Colour.BLACK, ov.black, {"stroke": BLACK_COLOUR}),
+        (Colour.WHITE, ov.white, {"stroke": WHITE_COLOUR, "stroke-dasharray": "4 3"}),
     ):
         group = ET.SubElement(root, "g", attrib={"class": f"{colour.value}-paths"})
         for path in fam.paths:
@@ -94,7 +92,7 @@ def render_overlay(
             hi,
             [(cx(x), cy(y)) for x, y in bp.trail],
             attrib={
-                "stroke": spec.highlight_colour,
+                "stroke": HIGHLIGHT_COLOUR,
                 "stroke-width": "5",
                 "stroke-opacity": "0.7",
             },
@@ -114,11 +112,11 @@ def render_overlay(
                 width="12",
                 height="12",
                 fill="none",
-                stroke=spec.highlight_colour,
+                stroke=HIGHLIGHT_COLOUR,
             )
     for p in config.points:
         y = ov.top if p.top else 1
-        fill = "#ffffff" if p.colour is Colour.WHITE else spec.black_colour
+        fill = "#ffffff" if p.colour is Colour.WHITE else BLACK_COLOUR
         ET.SubElement(
             marks,
             "circle",
@@ -126,17 +124,18 @@ def render_overlay(
             cy=f"{cy(y):g}",
             r="4",
             fill=fill,
-            stroke=spec.black_colour,
+            stroke=BLACK_COLOUR,
         )
     return _to_text(root)
 
 
 def render_ferrers(
     shapes: Sequence[tuple[SkewShape, str]],
-    spec: RenderSpec = RenderSpec(),
+    scale: int = 24,
 ) -> str:
     """Left-justified cell grids, one outline group per (shape, colour) pair."""
-    s, m = spec.scale, spec.margin
+    _check_scale(scale)
+    s, m = scale, MARGIN
     width_cells = max((sh.outer.part(1) for sh, _ in shapes), default=0)
     height_cells = max((sh.rows for sh, _ in shapes), default=0)
     root = _svg_root(2 * m + width_cells * s, 2 * m + height_cells * s)
@@ -155,13 +154,11 @@ def render_ferrers(
     return _to_text(root)
 
 
-def render_configuration(
-    config: CircularConfiguration, spec: RenderSpec = RenderSpec()
-) -> str:
+def render_configuration(config: CircularConfiguration) -> str:
     """Coloured points on a circle with their radial orientations."""
     n = len(config.points)
     radius = max(60, 12 * n)
-    size = 2 * (radius + spec.margin + 20)
+    size = 2 * (radius + MARGIN + 20)
     centre = size / 2
     root = _svg_root(size, size)
     ET.SubElement(
@@ -171,12 +168,12 @@ def render_configuration(
         cy=f"{centre:g}",
         r=f"{radius:g}",
         fill="none",
-        stroke=spec.grid_colour,
+        stroke=GRID_COLOUR,
     )
     _polyline(
         root,
         [(centre - radius - 10, centre), (centre + radius + 10, centre)],
-        stroke=spec.grid_colour,
+        stroke=GRID_COLOUR,
     )
     if n == 0:
         return _to_text(root)
@@ -194,7 +191,7 @@ def render_configuration(
     for angle, p in placed:
         x = centre + radius * math.cos(angle)
         y = centre - radius * math.sin(angle)
-        fill = "#ffffff" if p.colour is Colour.WHITE else spec.black_colour
+        fill = "#ffffff" if p.colour is Colour.WHITE else BLACK_COLOUR
         ET.SubElement(
             group,
             "circle",
@@ -202,7 +199,7 @@ def render_configuration(
             cy=f"{y:g}",
             r="5",
             fill=fill,
-            stroke=spec.black_colour,
+            stroke=BLACK_COLOUR,
         )
         inward = p.orientation is Orientation.INWARD
         r1, r2 = (radius - 8, radius - 22) if inward else (radius + 8, radius + 22)
@@ -212,7 +209,7 @@ def render_configuration(
                 (centre + r1 * math.cos(angle), centre - r1 * math.sin(angle)),
                 (centre + r2 * math.cos(angle), centre - r2 * math.sin(angle)),
             ],
-            stroke=spec.black_colour,
+            stroke=BLACK_COLOUR,
         )
         ET.SubElement(
             group,

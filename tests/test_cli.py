@@ -104,6 +104,14 @@ class TestIdentityGps:
         _, out2 = run(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_multipoint_without_points_is_usage_error(self, capsys, points):
+        code, out = run(
+            capsys, "identity-gps", "--lambda", "10,7,7,6,6,4,4,3,2,2", "--mu", "4,3,3,1",
+            "--strips", "2:(2,3);1:(6,2)", "--method", "multipoint", f"--points={points}",
+        )
+        assert code == 2 and out == ""
+
     def test_bad_strips(self, capsys):
         code, _ = run(capsys, "identity-gps", "--lambda", "3,1", "--strips", "nope")
         assert code == 2

@@ -103,6 +103,13 @@ class TestBorderStripIdentity:
         assert ident.alphabet == minimal_alphabet(ident.all_shapes())
         assert ident.alphabet == 7
 
+    def test_identity_defaults_to_minimal_alphabet(self):
+        lhs = (ProductTerm(SkewShape(P(2, 2, 1)), SkewShape(P(1))),)
+        rhs = (ProductTerm(None, None),)
+        assert Identity(lhs, rhs).alphabet == 3
+        assert Identity(lhs, rhs, 5).alphabet == 5
+        assert Identity((), ()).alphabet == 1
+
     def test_empty_strips_rejected(self):
         with pytest.raises(ConstraintViolated):
             border_strip_identity(LAM, MU, [])
@@ -169,6 +176,17 @@ class TestVerify:
         ident = border_strip_identity(P(3, 1), (), [StripSpec(1, 2, 1)], alphabet=3)
         assert estimate_expansion_size(ident) < 1000
         assert verify_identity(ident, method="auto").method == "full"
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_multipoint_needs_a_point(self, points):
+        column = SkewShape(Partition((1,) * 11))
+        false = Identity((ProductTerm(column, SkewShape(P(1))),), (), 11, "s_{1^11} s_1 = 0")
+        with pytest.raises(ValueError):
+            verify_identity(false, method="multipoint", points=points)
+        # auto falls back to multipoint when the expansion is over budget
+        ident = border_strip_identity(LAM, MU, STRIPS, alphabet=11)
+        with pytest.raises(ValueError):
+            verify_identity(ident, method="auto", points=points)
 
     def test_full_reports_witness_monomial(self):
         lhs = (ProductTerm(SkewShape(P(1)), SkewShape(P(1))),)

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import operator
 
 import pytest
@@ -127,7 +128,7 @@ class TestCircularOrder:
         assert by_pos[(4, False)].orientation is Orientation.INWARD  # black start
 
     def test_odd_count_rejected(self):
-        pt = ColouredPoint(0, True, Colour.WHITE, Orientation.INWARD, 1)
+        pt = ColouredPoint(0, True, Colour.WHITE, 1)
         with pytest.raises(OddColouredCount):
             CircularConfiguration((pt,), (), ())
 
@@ -265,11 +266,42 @@ class TestRecolour:
             recolour(ov, foreign)
 
 
+class TestRecolourIsReorientation:
+    """Recolouring paths reorients their endpoints in the circular configuration."""
+
+    def _check_subsets(self, ov, limit=256):
+        paths, _ = all_bicoloured(ov)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(paths, r) for r in range(len(paths) + 1)
+        )
+        for chosen in itertools.islice(subsets, limit):
+            out = recolour(ov, chosen)
+            flips = [
+                ov.coloured_point(x, ov.top if top else 1).index
+                for bp in chosen
+                for x, top in bp.endpoint_positions
+            ]
+            config = ov.configuration.reoriented(flips)
+            assert out.configuration.points == config.points
+            assert config.shapes() == (
+                (out.white.shape, out.white.shift),
+                (out.black.shape, out.black.shift),
+            )
+
+    @pytest.mark.parametrize("make", [demo_overlay_small, demo_overlay_large])
+    def test_gallery_every_subset(self, make):
+        self._check_subsets(make())
+
+    def test_random_overlays(self, sampler):
+        for _ in range(40):
+            self._check_subsets(Overlay(sampler.family(4), sampler.family(4)), limit=32)
+
+
 def _pattern_config(orientations):
     pts = []
     for k, o in enumerate(orientations):
         colour = Colour.WHITE if o is Orientation.INWARD else Colour.BLACK
-        pts.append(ColouredPoint(len(orientations) - k, True, colour, o, k + 1))
+        pts.append(ColouredPoint(len(orientations) - k, True, colour, k + 1))
     return CircularConfiguration(tuple(pts), (), ())
 
 

@@ -5,7 +5,6 @@ import pytest
 from schurpaths import (
     Overlay,
     Partition,
-    RenderSpec,
     SkewShape,
     all_bicoloured,
     render_configuration,
@@ -43,7 +42,9 @@ class TestOverlaySvg:
 
     def test_bad_scale(self):
         with pytest.raises(ValueError):
-            RenderSpec(scale=0)
+            render_overlay(demo_overlay_small(), scale=0)
+        with pytest.raises(ValueError):
+            render_ferrers([(SkewShape(Partition((1,))), "#000000")], scale=-1)
 
 
 class TestFerrersSvg:
