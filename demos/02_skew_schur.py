@@ -1,6 +1,7 @@
-"""Skew Schur polynomials two ways: tableau enumeration and the determinant.
+"""Skew Schur polynomials two ways: the branching rule and the determinant.
 
-The symbolic route sums tableau weights; the evaluation route computes the
+The symbolic route adds one horizontal strip per variable, so its terms are
+the tableau weights listed first, summed; the evaluation route computes the
 determinant of complete homogeneous sums over exact integers.  They must
 agree at every point.
 """
@@ -23,9 +24,9 @@ print()
 rng = random.Random(2024)
 for _ in range(4):
     point = tuple(rng.randint(0, 4) for _ in range(3))
-    enum_value = poly.evaluate(point)
+    poly_value = poly.evaluate(point)
     det_value = skew_schur_eval(shape, point)
-    print(f"at {point}: enumeration {enum_value}, determinant {det_value}, equal {enum_value == det_value}")
+    print(f"at {point}: polynomial {poly_value}, determinant {det_value}, equal {poly_value == det_value}")
 print()
 
 tall = SkewShape(Partition((1, 1, 1)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .identities import (
     Identity,
@@ -172,7 +173,7 @@ def _verify_and_emit(identity: Identity, args) -> int:
         identity,
         method=args.method,
         points=args.points,
-        seed=args.seed,
+        seed=default_seed() if args.seed is None else args.seed,
         keep_values=args.verbose,
     )
     _emit({"identity": identity.to_json(), "report": report.to_json(verbose=args.verbose)})
@@ -220,7 +221,13 @@ def cmd_selftest(args) -> int:
     return 0 if result["ok"] else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
+
+    Its defaults are constants; a default read from the environment, such as
+    the seed, is resolved when the command runs.
+    """
     parser = argparse.ArgumentParser(
         prog="schurpaths",
         description="Exact skew Schur products and recolouring identities.",
@@ -280,13 +287,12 @@ def _verification_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vars", type=int, default=None, help="number of variables N")
     p.add_argument("--method", choices=("auto", "full", "multipoint"), default="auto")
     p.add_argument("--points", type=int, default=20)
-    p.add_argument("--seed", type=int, default=default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--verbose", action="store_true", help="include per-point values")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -353,21 +353,25 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
     """
     chosen = list(chosen)
     flip_arcs: dict[Arc, Colour] = {}
-    flip_indices: set[int] = set()
+    # endpoint index -> the chosen path ending there; a coloured point ends
+    # at most one bicoloured path, so a shared endpoint means the same path
+    flip_indices: dict[int, BicolouredPath] = {}
     for bp in chosen:
+        for pos in bp.endpoint_positions:
+            if pos not in ov._coloured:
+                raise PathNotInOverlay(f"endpoint {pos} is not a coloured point here")
+            owner = flip_indices.setdefault(ov._coloured[pos].index, bp)
+            if owner is not bp:
+                raise PathNotInOverlay(
+                    f"start points {owner.start.x},{owner.start.level_name} and "
+                    f"{bp.start.x},{bp.start.level_name} trace the same path"
+                )
         for arc, colour in bp.arcs:
             if ov.arc_colour_class(arc) != colour.value:
                 raise PathNotInOverlay(f"arc {arc} is not a {colour.value} arc here")
             if arc in flip_arcs:
                 raise PathNotInOverlay(f"arc {arc} appears in two chosen paths")
             flip_arcs[arc] = colour
-        for pos in bp.endpoint_positions:
-            if pos not in ov._coloured:
-                raise PathNotInOverlay(f"endpoint {pos} is not a coloured point here")
-            index = ov._coloured[pos].index
-            if index in flip_indices:
-                raise PathNotInOverlay(f"endpoint {pos} appears in two chosen paths")
-            flip_indices.add(index)
 
     arcs = {
         Colour.WHITE: set(ov._arcs[Colour.WHITE]),

@@ -1,18 +1,24 @@
 """Exact skew Schur computations.
 
-Two independent routes: symbolic expansion by summing tableau weights, and
-integer evaluation through the determinant of complete homogeneous sums
-(fraction-free elimination, exact arbitrary-precision arithmetic throughout).
-The test suite cross-checks the two on every shape it can enumerate.
+Two independent routes, exact arbitrary-precision arithmetic throughout:
+symbolic expansion by the branching rule, one horizontal strip per variable
+(``skew_schur``), and integer evaluation through the determinant of
+complete homogeneous sums by fraction-free elimination (``skew_schur_eval``).
+Summing tableau weights over ``tableaux.enumerate_ssyt`` is a third route,
+kept as the test oracle for the expansion; the test suite cross-checks all
+three on every shape it can enumerate.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 from .partitions import SkewShape
-from .tableaux import enumerate_ssyt, weight
+# skew_schur does not call it, but perfbench/tracing.py rebinds
+# schur.enumerate_ssyt to count tableau enumeration, so the name stays here.
+from .tableaux import enumerate_ssyt  # noqa: F401
 
 Monomial = tuple[int, ...]
 
@@ -125,12 +131,67 @@ class Polynomial:
 
 @lru_cache(maxsize=None)
 def skew_schur(shape: SkewShape, nvars: int) -> Polynomial:
-    """Sum of tableau weights over all fillings with entries in ``1..nvars``."""
-    terms: dict[Monomial, int] = {}
-    for t in enumerate_ssyt(shape, nvars):
-        exp = weight(t)
-        terms[exp] = terms.get(exp, 0) + 1
-    return Polynomial(nvars, terms)
+    """s_{outer/inner}(x_1..x_nvars), expanded by the branching rule.
+
+    After level k, ``states`` maps each shape nu between inner and outer to
+    the polynomial of nu/inner in x_1..x_k.  The cells that level k + 1 adds
+    form a horizontal strip, and its size is the power of x_{k+1}
+    (Macdonald, I.5.11).  A shape is kept only while outer/nu can still be
+    filled by the variables left, so the last level holds outer alone.  The
+    cost follows the number of intermediate shapes and terms, not the number
+    of tableaux.
+    """
+    if nvars < 1:
+        raise ValueError(f"alphabet must be positive: {nvars}")
+    if shape.max_column_height > nvars:
+        return Polynomial.zero(nvars)
+    lam = tuple(shape.outer)
+    rows = len(lam)
+    inner = tuple(shape.inner.part(i) for i in range(1, rows + 1))
+    # Exponents stay sparse until the end, as flat (variable, power, ...)
+    # tuples extended only by a nonempty strip: dense tuples would cost
+    # O(nvars) per term at every level.
+    states: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {inner: {(): 1}}
+    for k in range(nvars):
+        # After this level row i of nu is at least row i + left of outer, so
+        # that the variables left can still fill every column, and at most
+        # row i of reach, row i - k - 1 of inner, since each level adds a
+        # horizontal strip.  Rows whose two bounds meet are the same in every
+        # shape of the level; only the free rows vary.  Pinning a row to low
+        # unchecked against rho relies on the zero return above: with no
+        # column taller than nvars, low <= reach, and low[i] is a valid strip
+        # step from row i of every rho kept.
+        left = nvars - k - 1
+        low = lam[left:] + (0,) * min(left, rows)
+        reach = lam[: k + 1] + inner[: max(rows - k - 1, 0)]
+        free = [i for i in range(rows) if low[i] < lam[i] and low[i] < reach[i]]
+        single = list(zip(low))  # the one choice (low[i],) of each row
+        nxt: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for rho, terms in states.items():
+            ranges: list = single[:]
+            for i in free:
+                ranges[i] = range(max(rho[i], low[i]), min(lam[i], rho[i - 1] if i else lam[0]) + 1)
+            size = sum(rho)
+            by_strip = {0: terms}
+            for nu in product(*ranges):
+                d = sum(nu) - size
+                add = by_strip.get(d)
+                if add is None:
+                    add = by_strip[d] = {e + (k, d): c for e, c in terms.items()}
+                into = nxt.get(nu)
+                if into is None:
+                    nxt[nu] = dict(add)
+                else:
+                    for e, c in add.items():
+                        into[e] = into.get(e, 0) + c
+        states = nxt
+    dense: dict[Monomial, int] = {}
+    for e, c in states[lam].items():
+        exp = [0] * nvars
+        for var, power in zip(e[0::2], e[1::2]):
+            exp[var] = power
+        dense[tuple(exp)] = c
+    return Polynomial(nvars, dense)
 
 
 def complete_homogeneous_values(values: Sequence[int], max_degree: int) -> list[int]:

@@ -1,11 +1,15 @@
+import itertools
 import json
+import time
 
 import pytest
 
+from schurpaths import schur
 from schurpaths.cli import main, parse_shape, parse_strips
 from schurpaths.gallery import demo_overlay_small
 from schurpaths.identities import Identity, ProductTerm, verify_identity
 from schurpaths.partitions import Partition, SkewShape, StripSpec
+from schurpaths.schur import skew_schur
 
 
 @pytest.fixture
@@ -56,6 +60,35 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["polynomial"]["terms"] == [{"exp": [1100], "coeff": "1"}]
 
+    @pytest.mark.parametrize(
+        "shape, n, terms, shapes_visited",
+        [("1/", 1000, 1000, 3 * 1000 - 2), (",".join(["1"] * 1200) + "/", 1200, 1, 1200)],
+        ids=["one-box-1000-vars", "1200-row-column"],
+    )
+    def test_many_variables_and_rows(self, capsys, monkeypatch, shape, n, terms, shapes_visited):
+        code, out = run(capsys, "compute", "--shape", shape, "--vars", str(n))
+        assert code == 0
+        assert len(json.loads(out)["polynomial"]["terms"]) == terms
+        # The expansion alone, without printing it.  Its work is the number of
+        # shapes nu visited, counted through the product that enumerates the
+        # strips of each level: at most two states a level on "1/" and one on
+        # the column.  The loose time bound catches exponent tuples kept dense
+        # while building, O(N^3) on "1/" (about 9 s), which adds no shapes.
+        visited = 0
+
+        def counted(*ranges):
+            nonlocal visited
+            for nu in itertools.product(*ranges):
+                visited += 1
+                yield nu
+
+        monkeypatch.setattr(schur, "product", counted)
+        skew_schur.cache_clear()
+        t0 = time.perf_counter()
+        skew_schur(parse_shape(shape), n)
+        assert time.perf_counter() - t0 < 5.0
+        assert visited == shapes_visited
+
     def test_eval(self, capsys):
         code, out = run(capsys, "compute", "--shape", "2,1/", "--vars", "2",
                         "--method", "eval", "--point", "1,1")
@@ -104,6 +137,19 @@ class TestIdentityGps:
         _, out2 = run(capsys, *args)
         assert out1 == out2
 
+    def test_seed_default_read_when_the_command_runs(self, capsys, monkeypatch):
+        args = (
+            "identity-gps", "--lambda", "5,3,3,1", "--mu", "", "--strips", "1:(2,2)",
+            "--vars", "5", "--method", "multipoint", "--points", "2",
+        )
+        for seed in ("5", "9"):
+            monkeypatch.setenv("SCHURPATHS_SEED", seed)
+            code, out = run(capsys, *args)
+            assert code == 0
+            assert json.loads(out)["report"]["seed"] == int(seed)
+        monkeypatch.delenv("SCHURPATHS_SEED")
+        assert json.loads(run(capsys, *args)[1])["report"]["seed"] == 42
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_multipoint_without_points_is_usage_error(self, capsys, points):
         code, out = run(
@@ -144,6 +190,12 @@ class TestRecolourAndRender:
         assert obj["overlay"]["white"]["shape"]["outer"] == [9, 5, 5, 1, 1, 1]
         assert obj["overlay"]["white"]["shift"] == -1
         assert obj["overlay"]["black"]["shape"]["outer"] == [5, 3, 3, 2, 2, 1, 1, 1]
+
+    def test_recolour_both_ends_of_one_path(self, capsys, overlay_file):
+        code = main(["recolour", "--overlay", overlay_file, "--start", "7,N;6,N"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "start points 7,N and 6,N trace the same path" in captured.err
 
     def test_recolour_all(self, capsys, overlay_file):
         code, out = run(capsys, "recolour", "--overlay", overlay_file, "--all")

@@ -9,10 +9,12 @@ from schurpaths import (
     VariableCountMismatch,
     bareiss_determinant,
     complete_homogeneous_values,
+    enumerate_ssyt,
     skew_schur,
     skew_schur_eval,
+    weight,
 )
-from conftest import shapes_up_to
+from conftest import FamilySampler, shapes_up_to
 
 
 def P(*parts):
@@ -69,6 +71,60 @@ class TestSkewSchur:
 
     def test_tall_column_vanishes(self):
         assert skew_schur(SkewShape(P(1, 1, 1)), 2).is_zero
+
+
+def tableau_weight_sum(shape, n):
+    """The oracle: the weights of all fillings of ``shape`` with 1..n, summed."""
+    terms = {}
+    for t in enumerate_ssyt(shape, n):
+        exp = weight(t)
+        terms[exp] = terms.get(exp, 0) + 1
+    return terms
+
+
+class TestBranchingRuleAgainstTableaux:
+    def test_every_small_shape(self):
+        for shape in shapes_up_to(6):
+            for n in range(1, 6):
+                assert skew_schur(shape, n).terms == tableau_weight_sum(shape, n), (shape, n)
+
+    def test_random_shapes(self):
+        sampler = FamilySampler(seed=4, max_outer=10)
+        rng = random.Random(4)
+        for _ in range(300):
+            shape, n = sampler.shape(), rng.randint(1, 6)
+            assert skew_schur(shape, n).terms == tableau_weight_sum(shape, n), (shape, n)
+
+    @pytest.mark.parametrize(
+        "outer, inner, n, pinned",
+        [
+            ((), (), 3, {(0, 0, 0): 1}),  # the empty shape: one empty filling
+            ((1, 1, 1, 1), (), 3, {}),  # a column taller than n: zero
+            ((3, 3, 3, 1), (2, 1), 2, {}),  # a skew column of height 3 at n = 2
+            ((1100,), (), 1, {(1100,): 1}),  # one long row in one variable
+            ((4, 3, 2, 2), (2,), 3, None),  # inner has fewer rows than outer
+        ],
+        ids=["empty", "tall-column", "skew-tall-column", "long-row", "short-inner"],
+    )
+    def test_edge_cases(self, outer, inner, n, pinned):
+        shape = SkewShape(P(*outer), P(*inner))
+        terms = skew_schur(shape, n).terms
+        assert terms == tableau_weight_sum(shape, n)
+        assert pinned is None or terms == pinned
+
+    def test_nonpositive_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="alphabet must be positive"):
+            skew_schur(SkewShape(P(1)), 0)
+
+    def test_readme_compute_example_at_eight_variables(self):
+        # 78,478,400 tableaux: minutes by enumeration, seconds by branching
+        shape = SkewShape(P(7, 4, 4, 3, 1, 1, 1), P(3, 2, 2, 1))
+        poly = skew_schur(shape, 8)
+        assert len(poly.terms) == 68_272
+        assert sum(poly.terms.values()) == skew_schur_eval(shape, (1,) * 8) == 78_478_400
+        rng = random.Random(8)
+        point = tuple(rng.randint(-3, 5) for _ in range(8))
+        assert poly.evaluate(point) == skew_schur_eval(shape, point)
 
 
 class TestHomogeneous:
