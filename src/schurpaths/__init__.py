@@ -67,6 +67,7 @@ from .overlay import (
     Orientation,
     Overlay,
     PathNotInOverlay,
+    admissible_flip_sets,
     all_bicoloured,
     enumerate_admissible_matchings,
     recolour,

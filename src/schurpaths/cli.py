@@ -2,7 +2,8 @@
 
 Subcommands: compute, endpoints, recolour, identity-theorem, identity-gps,
 render, selftest.  All reports are JSON on standard output.  Exit status is
-0 on success or a passing verdict, 1 on a failing verdict, 2 on usage errors.
+0 on success or a passing verdict, 1 on a failing verdict, 2 on usage errors
+and on internal invariant failures (reported as ``error: internal: ...``).
 """
 
 from __future__ import annotations
@@ -297,6 +298,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (AssertionError, RecursionError) as exc:
+        # a broken internal invariant is reported, not shown as a traceback
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .overlay import CircularConfiguration, enumerate_admissible_matchings
+from .overlay import CircularConfiguration, admissible_flip_sets
 from .partitions import (
     ConstraintViolated,
     Partition,
@@ -190,6 +190,13 @@ def recolouring_expansion(
     the edges meeting ``s`` are reoriented; each reachable configuration
     contributes one term, deduplicated, with unreachable (negative row)
     configurations kept as zero terms.
+
+    A term depends only on the points matched to ``s``, so the flip sets come
+    from :func:`admissible_flip_sets` directly, not from the Catalan(k)
+    matchings of the 2k coloured points.  On an alternating configuration
+    they are ``s`` together with any ``|s|`` of the k outward points, so there
+    are C(k, |s|) terms, zero terms included, in the order of their first
+    appearance under :func:`enumerate_admissible_matchings`.
     """
     config = configuration_from_shapes(white, black, shifts, rows)
     if not config.alternating:
@@ -204,16 +211,7 @@ def recolouring_expansion(
     s_idx = {inward[p] for p in s_pts}
 
     terms: list[ProductTerm] = []
-    seen: set[tuple[int, ...]] = set()
-    for matching in enumerate_admissible_matchings(config):
-        flips: set[int] = set()
-        for a, b in matching.pairs:
-            if a in s_idx or b in s_idx:
-                flips.update((a, b))
-        key = tuple(sorted(flips))
-        if key in seen:
-            continue
-        seen.add(key)
+    for flips in admissible_flip_sets(config, s_idx):
         reoriented = config.reoriented(flips)
         assert reoriented.admissible, "reorientation broke the orientation balance"
         shapes = reoriented.shapes()

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .partitions import SkewShape, canonical_shape
@@ -414,16 +415,23 @@ def _assemble_family(arc_set: set[Arc], start_xs: list[int], end_xs: list[int], 
     return fam
 
 
-def enumerate_admissible_matchings(config: CircularConfiguration) -> tuple[Matching, ...]:
-    """All non-crossing perfect matchings joining inward to outward points.
-
-    Deterministic order: the first point is matched to candidates left to
-    right, recursing on the enclosed and remaining segments.
-    """
+def _require_admissible(config: CircularConfiguration) -> None:
     if not config.admissible:
         raise NotAdmissibleConfiguration(
             f"{len(config.inward_points())} inward of {len(config.points)} points"
         )
+
+
+def enumerate_admissible_matchings(config: CircularConfiguration) -> tuple[Matching, ...]:
+    """All non-crossing perfect matchings joining inward to outward points.
+
+    Deterministic order: the first point is matched to candidates left to
+    right, recursing on the enclosed and remaining segments.  There are
+    Catalan(k) of them on 2k alternating points, so the expansion identities
+    use :func:`admissible_flip_sets` instead; this enumeration is its test
+    oracle.
+    """
+    _require_admissible(config)
     orientations = [p.orientation for p in config.points]
 
     def rec(segment: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -441,3 +449,56 @@ def enumerate_admissible_matchings(config: CircularConfiguration) -> tuple[Match
 
     indices = tuple(p.index for p in config.points)
     return tuple(Matching(tuple(sorted(pairs))) for pairs in rec(indices))
+
+
+def admissible_flip_sets(
+    config: CircularConfiguration, s: Iterable[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The distinct sets of points that admissible matchings join to ``s``.
+
+    A matching's flip set is the union of its pairs meeting the point indices
+    ``s``.  Returns every distinct flip set as a sorted index tuple, in order
+    of first appearance under :func:`enumerate_admissible_matchings`, without
+    listing the matchings.  A memoised recursion over contiguous ranges of the
+    circular order mirrors that enumeration: the first point of a range is
+    paired, left to right, with each candidate of opposite orientation at odd
+    offset, then the enclosed range and the rest are expanded.  The two
+    ranges are disjoint, so for one candidate their flip sets combine
+    injectively and the nested order is the order of first appearance; a
+    ``seen`` set drops the repeats across candidates.  A range with no point
+    of ``s`` contributes the empty set when its inward and outward points
+    balance, which is when it has a matching, and nothing otherwise.
+    """
+    _require_admissible(config)
+    s = frozenset(s)
+    inward = [p.orientation is Orientation.INWARD for p in config.points]
+    # over the first i points: inward minus outward, and the number in s
+    balance = list(accumulate((1 if inw else -1 for inw in inward), initial=0))
+    in_s = list(accumulate((p.index in s for p in config.points), initial=0))
+    memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def rec(lo: int, hi: int) -> list[tuple[int, ...]]:
+        """Flip sets of the range of positions lo..hi-1 (indices lo+1..hi)."""
+        if balance[hi] != balance[lo]:
+            return []
+        if in_s[hi] == in_s[lo]:
+            return [()]
+        if (lo, hi) in memo:
+            return memo[lo, hi]
+        out: list[tuple[int, ...]] = []
+        seen: set[tuple[int, ...]] = set()
+        for j in range(lo + 1, hi, 2):
+            if inward[j] == inward[lo]:
+                continue
+            pair = (lo + 1 in s) or (j + 1 in s)
+            for left in rec(lo + 1, j):
+                for right in rec(j + 1, hi):
+                    # sorted: lo+1 < left < j+1 < right
+                    flips = (lo + 1,) + left + (j + 1,) + right if pair else left + right
+                    if flips not in seen:
+                        seen.add(flips)
+                        out.append(flips)
+        memo[lo, hi] = out
+        return out
+
+    return tuple(rec(0, len(inward)))

@@ -8,9 +8,11 @@ from typing import Iterator
 import pytest
 
 from schurpaths import (
+    CircularConfiguration,
     Partition,
     PathFamily,
     SkewShape,
+    enumerate_admissible_matchings,
     family_from_paths,
     random_tableau,
     tableau_to_paths,
@@ -51,6 +53,21 @@ def shapes_up_to(max_outer: int) -> Iterator[SkewShape]:
     for outer in partitions_up_to(max_outer):
         for inner in subpartitions(outer):
             yield SkewShape(outer, inner)
+
+
+def first_appearance_flip_sets(
+    config: CircularConfiguration, s: set[int]
+) -> list[tuple[int, ...]]:
+    """Oracle for ``admissible_flip_sets``: walk every admissible matching,
+    take the union of its pairs meeting ``s``, keep each set the first time."""
+    out: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for matching in enumerate_admissible_matchings(config):
+        flips = tuple(sorted(i for pair in matching.pairs if s & set(pair) for i in pair))
+        if flips not in seen:
+            seen.add(flips)
+            out.append(flips)
+    return out
 
 
 class FamilySampler:

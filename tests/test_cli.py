@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import json
 import time
 
 import pytest
 
-from schurpaths import schur
+from schurpaths import cli, schur
 from schurpaths.cli import main, parse_shape, parse_strips
 from schurpaths.gallery import demo_overlay_small
 from schurpaths.identities import Identity, ProductTerm, verify_identity
@@ -175,6 +176,47 @@ class TestIdentityTheorem:
         obj = json.loads(out)
         assert len(obj["identity"]["rhs"]) == 2
 
+    # 2k = 12 alternating coloured points, |S| = 3: C(6, 3) = 20 terms
+    PINNED_ARGS = (
+        "identity-theorem", "--white", "20,20,17,17,17,11/8,3,3,2,2,1",
+        "--black", "22,20,19,18,17,10/6,5,4,4,4,1", "--shift=-2", "--s=-7,1;13,N;18,N",
+        "--method", "multipoint", "--seed", "3",
+    )
+    PINNED_RHS = [
+        ("21,19,18,17,16,12/9,4,4,3,3", "19,19,16,16,16,7/3,2,1,1,1"),
+        ("21,19,18,17,16,12/9,4,2,2,1", "17,17,14,14,14,5/1"),
+        ("21,19,18,17,16,12/3,3,2,2,1", "17,17,14,14,14,5/5,2,1"),
+        ("20,18,17,16,15,11,9/8,3,3,2,2,1", "18,18,15,15,15/2,1"),
+        ("21,19,18,17,11,9/9,4,4,3,3", "19,19,16,16,16,15/3,2,1,1,1"),
+        ("21,19,18,17,11,9/9,4,2,2,1", "17,17,14,14,14,13/1"),
+        ("21,19,18,17,11,9/3,3,2,2,1", "17,17,14,14,14,13/5,2,1"),
+        ("22,20,19,18,12/10,5,3,3", "18,18,15,15,15,14,7/2,1,1,1,1,1"),
+        ("22,20,19,18,12/4,4,3,3", "18,18,15,15,15,14,7/6,3,2,1,1,1"),
+        ("22,20,19,18,12/4,2,2,1", "16,16,13,13,13,12,5/4,1"),
+        ("21,17,16,15,11,9/9,4,4,3,3", "19,19,18,17,17,17/3,2,1,1,1"),
+        ("21,17,16,15,11,9/9,4,2,2,1", "17,17,16,15,15,15/1"),
+        ("21,17,16,15,11,9/3,3,2,2,1", "17,17,16,15,15,15/5,2,1"),
+        ("22,18,17,16,12/10,5,3,3", "18,18,17,16,16,16,7/2,1,1,1,1,1"),
+        ("22,18,17,11,9/10,5,3,3", "18,18,17,16,16,16,15/2,1,1,1,1,1"),
+        ("22,18,17,16,12/4,4,3,3", "18,18,17,16,16,16,7/6,3,2,1,1,1"),
+        ("22,18,17,16,12/4,2,2,1", "16,16,15,14,14,14,5/4,1"),
+        ("22,18,17,11,9/4,4,3,3", "18,18,17,16,16,16,15/6,3,2,1,1,1"),
+        ("22,18,17,11,9/4,2,2,1", "16,16,15,14,14,14,13/4,1"),
+        ("23,19,18,12/5,3,3", "17,17,16,15,15,15,14,7/5,2,1,1,1,1,1"),
+    ]
+    PINNED_SHA256 = "65dc412418571d7eb6e3c122aee902a2a4b05fcf6e3a0f68afb5c00b110cf4d7"
+
+    def test_pinned_term_order(self, capsys):
+        code, out = run(capsys, *self.PINNED_ARGS)
+        assert code == 0
+
+        def text(shape):
+            return ",".join(map(str, shape["outer"])) + "/" + ",".join(map(str, shape["inner"]))
+
+        rhs = json.loads(out)["identity"]["rhs"]
+        assert [(text(w), text(b)) for w, b in rhs] == self.PINNED_RHS
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_SHA256
+
     def test_not_alternating_is_usage_error(self, capsys):
         code, _ = run(capsys, "identity-theorem", "--white", "2,2/", "--black", "4,1/",
                       "--s", "1,N")
@@ -226,6 +268,19 @@ class TestSelftest:
         assert code == 0
         obj = json.loads(out)
         assert obj["ok"] and all(c["ok"] for c in obj["checks"])
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc", [AssertionError("traces disagree"), RecursionError("too deep")])
+    def test_reported_without_traceback(self, capsys, monkeypatch, exc):
+        def broken(seed):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_selftest", broken)
+        code = main(["selftest"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: internal: {type(exc).__name__}: {exc}\n"
 
 
 class TestFailVerdictExitCode:

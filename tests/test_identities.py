@@ -1,6 +1,13 @@
+import math
+import random
+import time
+
 import pytest
 
+from conftest import first_appearance_flip_sets
 from schurpaths import (
+    CircularConfiguration,
+    Colour,
     ConstraintViolated,
     EmptyS,
     Identity,
@@ -29,6 +36,94 @@ BIG_SIG = Partition((14, 14, 12, 12, 11, 11, 11, 9, 8, 7, 7, 5))
 
 def P(*parts):
     return Partition(parts)
+
+
+def alternating_configuration(rng: random.Random, k: int) -> CircularConfiguration:
+    """A random configuration with k coloured points on each level, alternating
+    around the circle, plus up to two doubled points per level.
+
+    Colours alternate along each level and agree at both ends of the two
+    levels, which makes the orientations alternate; draws in which some row
+    would be negative are retried.
+    """
+    while True:
+        d = rng.randint(0, 2)
+        span = 2 * (k + d) + 2
+        top = sorted(rng.sample(range(span // 2, span // 2 + span), k + d), reverse=True)
+        bottom = sorted(rng.sample(range(span), k + d))
+        top_dbl, bot_dbl = set(rng.sample(top, d)), set(rng.sample(bottom, d))
+        first = rng.choice(list(Colour))
+        top_colours = [first if i % 2 == 0 else first.other for i in range(k)]
+        last = top_colours[-1]
+        bottom_colours = [last if i % 2 == 0 else last.other for i in range(k)]
+        ends = {c: set(top_dbl) for c in Colour}
+        starts = {c: set(bot_dbl) for c in Colour}
+        for x, c in zip([x for x in top if x not in top_dbl], top_colours):
+            ends[c].add(x)
+        for x, c in zip([x for x in bottom if x not in bot_dbl], bottom_colours):
+            starts[c].add(x)
+        config = CircularConfiguration.from_point_sets(
+            starts[Colour.WHITE], ends[Colour.WHITE], starts[Colour.BLACK], ends[Colour.BLACK]
+        )
+        if config.shapes() is not None:
+            assert config.alternating and len(config.points) == 2 * k
+            return config
+
+
+def expansion_of(config: CircularConfiguration, s_points):
+    """``recolouring_expansion`` of the shapes whose families give ``config``."""
+    (white, sw), (black, sb) = config.shapes()
+    rows = tuple(len(config.colour_point_xs(c, False)) for c in Colour)
+    assert configuration_from_shapes(white, black, (sw, sb), rows) == config
+    return recolouring_expansion(white, black, s_points, shifts=(sw, sb), rows=rows)
+
+
+def oracle_terms(config: CircularConfiguration, s_idx: set[int]) -> tuple[ProductTerm, ...]:
+    """The expansion built by walking every admissible matching."""
+    terms = []
+    for flips in first_appearance_flip_sets(config, s_idx):
+        shapes = config.reoriented(flips).shapes()
+        if shapes is None:
+            terms.append(ProductTerm(None, None))
+        else:
+            (white, _), (black, _) = shapes
+            terms.append(ProductTerm(white, black))
+    return tuple(terms)
+
+
+class TestExpansionAgainstMatchings:
+    """Terms, in order, equal those of the first-appearance dedupe over matchings."""
+
+    @staticmethod
+    def _draw(rng, k, size):
+        config = alternating_configuration(rng, k)
+        chosen = rng.sample(config.inward_points(), size)
+        return config, [(p.x, p.level_name) for p in chosen], {p.index for p in chosen}
+
+    def test_random_alternating_pairs(self):
+        rng = random.Random(515)
+        for k in range(1, 9):
+            for size in range(1, min(k, 3) + 1):
+                for _ in range(3):
+                    config, s_points, s_idx = self._draw(rng, k, size)
+                    assert expansion_of(config, s_points) == oracle_terms(config, s_idx)
+
+    def test_term_count_is_binomial(self):
+        # the flip sets are S with any |S| of the k outward points, zero terms included
+        rng = random.Random(516)
+        for k in range(1, 7):
+            for size in range(1, min(k, 4) + 1):
+                config, s_points, s_idx = self._draw(rng, k, size)
+                terms = expansion_of(config, s_points)
+                assert len(terms) == len(oracle_terms(config, s_idx)) == math.comb(k, size)
+
+    def test_forty_points(self):
+        # 1,140 terms where the matchings would number Catalan(20), about 6.6e9
+        config, s_points, _ = self._draw(random.Random(517), 20, 3)
+        t0 = time.perf_counter()
+        terms = expansion_of(config, s_points)
+        assert time.perf_counter() - t0 < 30.0
+        assert len(terms) == math.comb(20, 3) == 1140
 
 
 class TestRecolouringExpansion:

@@ -1,6 +1,8 @@
 import collections
 import itertools
+import math
 import operator
+import time
 
 import pytest
 
@@ -17,6 +19,7 @@ from schurpaths import (
     Partition,
     PathNotInOverlay,
     SkewShape,
+    admissible_flip_sets,
     all_bicoloured,
     enumerate_admissible_matchings,
     family_from_paths,
@@ -25,6 +28,7 @@ from schurpaths import (
     trace_bicoloured,
     validate_tableau,
 )
+from conftest import first_appearance_flip_sets
 from schurpaths.gallery import (
     LARGE_RECOLOUR_ENDPOINTS,
     SMALL_RECOLOUR_ENDPOINTS,
@@ -329,6 +333,55 @@ class TestMatchingEnumeration:
     def test_eight_alternating_catalan(self):
         cfg = _pattern_config([IN, OUT] * 4)
         assert len(enumerate_admissible_matchings(cfg)) == 14
+
+
+class TestFlipSets:
+    """``admissible_flip_sets`` against the first-appearance dedupe over every matching."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("phase", [IN, OUT])
+    def test_alternating_every_s(self, k, phase):
+        pattern = [phase, OUT if phase is IN else IN] * k
+        cfg = _pattern_config(pattern)
+        inward = [p.index for p in cfg.inward_points()]
+        for r in range(1, k + 1):
+            for s in itertools.combinations(inward, r):
+                got = admissible_flip_sets(cfg, s)
+                assert list(got) == first_appearance_flip_sets(cfg, set(s))
+                # S together with any |S| of the k outward points
+                assert len(got) == math.comb(k, r)
+
+    def test_every_balanced_pattern(self):
+        for n in range(0, 9, 2):
+            for pattern in itertools.product([IN, OUT], repeat=n):
+                if pattern.count(IN) * 2 != n:
+                    continue
+                cfg = _pattern_config(pattern)
+                for r in range(4):
+                    for s in itertools.combinations(range(1, n + 1), r):
+                        assert list(admissible_flip_sets(cfg, s)) == (
+                            first_appearance_flip_sets(cfg, set(s))
+                        )
+
+    def test_repeats_across_candidates_dropped(self):
+        # both partners of the first point, outside S = {2, 4}, flip all four
+        # points; as unsorted tuples the two would be (1, 2, 3, 4) and (1, 4, 2, 3)
+        cfg = _pattern_config([OUT, IN, OUT, IN])
+        assert admissible_flip_sets(cfg, {2, 4}) == ((1, 2, 3, 4),)
+        assert admissible_flip_sets(cfg, {4}) == ((3, 4), (1, 4))
+
+    def test_unbalanced_rejected(self):
+        with pytest.raises(NotAdmissibleConfiguration):
+            admissible_flip_sets(_pattern_config([IN, IN]), {1})
+
+    def test_forty_points_without_matchings(self):
+        # Catalan(20), about 6.6e9 matchings, is out of reach of the oracle
+        cfg = _pattern_config([IN, OUT] * 20)
+        t0 = time.perf_counter()
+        got = admissible_flip_sets(cfg, {1, 11, 25})
+        assert time.perf_counter() - t0 < 10.0
+        assert len(got) == len(set(got)) == math.comb(20, 3)
+        assert all(set(f) >= {1, 11, 25} and len(f) == 6 for f in got)
 
 
 class TestConfigurationToShapes:
