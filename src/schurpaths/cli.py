@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -292,8 +293,26 @@ def _verification_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--verbose", action="store_true", help="include per-point values")
 
 
+# argparse reads a value such as "-7,1;13,N" or "-1,2" as an unknown option,
+# because it starts with "-" and is not a plain number.
+_NEGATIVE_LIST = re.compile(r"-\d+\s*,")
+
+
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """Join each list value that starts with a negative number to the long
+    option before it, as ``--s=-7,1;13,N``, which argparse reads as a value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_LIST.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_lists(argv))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -10,6 +10,7 @@ and are checked as properties in the test suite.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -183,16 +184,21 @@ class SkewShape:
             for j in range(lo, hi):
                 yield (i, j)
 
-    def column_heights(self) -> tuple[int, ...]:
-        width = self.outer.part(1)
-        heights = [0] * width
-        for _, j in self.cells():
-            heights[j] += 1
-        return tuple(heights)
-
     @property
     def max_column_height(self) -> int:
-        return max(self.column_heights(), default=0)
+        """The tallest column, without visiting the cells.
+
+        Column j has height outer'_j - inner'_j, the number of parts of outer
+        above j less those of inner, and it is tallest at the first column of
+        some row; so a part of 2**40 costs no more than a part of 4.
+        """
+        outer, inner = self.outer[::-1], self.inner[::-1]  # increasing
+
+        def height(j: int) -> int:
+            return len(outer) - bisect_right(outer, j) - len(inner) + bisect_right(inner, j)
+
+        starts = {lo for lo, hi in map(self.row_span, range(self.rows)) if lo < hi}
+        return max(map(height, starts), default=0)
 
     def to_json(self) -> dict:
         return {"outer": list(self.outer), "inner": list(self.inner)}

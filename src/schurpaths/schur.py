@@ -7,10 +7,19 @@ complete homogeneous sums by fraction-free elimination (``skew_schur_eval``).
 Summing tableau weights over ``tableaux.enumerate_ssyt`` is a third route,
 kept as the test oracle for the expansion; the test suite cross-checks all
 three on every shape it can enumerate.
+
+A ``Polynomial`` keys its terms by one packed int per exponent vector
+(Kronecker substitution, as in Monagan and Pearce, "Sparse polynomial
+multiplication"): the exponent of x_1 sits in the most significant field, so
+integer order on keys is descending lexicographic order on exponents, and a
+product of monomials is a sum of keys.  Exponent tuples appear only at the
+boundary: the constructor, ``terms``, ``sorted_terms``, ``leading_exponent``,
+``evaluate`` and the JSON form.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from functools import lru_cache
 from itertools import product
 from typing import Sequence
@@ -27,25 +36,60 @@ class VariableCountMismatch(ValueError):
     pass
 
 
+def _pack(exp: Sequence[int], bits: int) -> int:
+    key = 0
+    for e in exp:
+        key = key << bits | e
+    return key
+
+
+def _unpack(key: int, nvars: int, bits: int) -> Monomial:
+    mask = (1 << bits) - 1
+    return tuple([key >> s & mask for s in range((nvars - 1) * bits, -1, -bits)])
+
+
 class Polynomial:
     """Sparse multivariate polynomial with integer coefficients.
 
-    Terms map exponent tuples of length ``nvars`` to nonzero coefficients.
-    Instances are treated as immutable; all operations return new objects.
+    Terms map packed exponent keys to nonzero coefficients.  Each field of a
+    key is ``bits`` wide, with every exponent below 2**bits; a product widens
+    its fields by one bit, so that no sum of two fields carries, and a sum or
+    comparison of polynomials of different widths repacks the narrower one.
+    The constructor packs exponent tuples; ``terms`` (a read-only view keyed
+    by exponent tuples), ``sorted_terms``, ``leading_exponent``, ``evaluate``
+    and ``to_json`` unpack them.  Instances are treated as immutable; all
+    operations return new objects.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_bits", "_terms")
 
-    def __init__(self, nvars: int, terms: dict[Monomial, int] | None = None) -> None:
+    def __init__(self, nvars: int, terms: Mapping[Monomial, int] | None = None) -> None:
+        terms = terms or {}
+        top = 0
+        for exp in terms:
+            if len(exp) != nvars:
+                raise VariableCountMismatch(f"exponent {exp} has length != {nvars}")
+            if min(exp, default=0) < 0:
+                raise ValueError(f"exponent {exp} has a negative entry")
+            top = max(top, max(exp, default=0))
+        bits = max(top, 1).bit_length()
+        packed: dict[int, int] = {}
+        for exp, coeff in terms.items():
+            key = _pack(exp, bits)
+            packed[key] = packed.get(key, 0) + coeff
+        self._set(nvars, bits, packed)
+
+    def _set(self, nvars: int, bits: int, packed: dict[int, int]) -> None:
         self.nvars = nvars
-        self.terms: dict[Monomial, int] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if len(exp) != nvars:
-                    raise VariableCountMismatch(f"exponent {exp} has length != {nvars}")
-                if coeff:
-                    self.terms[tuple(exp)] = self.terms.get(tuple(exp), 0) + coeff
-            self.terms = {e: c for e, c in self.terms.items() if c}
+        self._bits = bits
+        self._terms = packed if all(packed.values()) else {k: c for k, c in packed.items() if c}
+
+    @classmethod
+    def _packed(cls, nvars: int, bits: int, packed: dict[int, int]) -> "Polynomial":
+        """A polynomial owning ``packed``, whose keys have ``bits``-wide fields."""
+        poly = cls.__new__(cls)
+        poly._set(nvars, bits, packed)
+        return poly
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -55,51 +99,70 @@ class Polynomial:
     def one(cls, nvars: int) -> "Polynomial":
         return cls(nvars, {(0,) * nvars: 1})
 
-    @classmethod
-    def monomial(cls, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
-        return cls(len(exps), {tuple(exps): coeff})
+    @property
+    def terms(self) -> Mapping[Monomial, int]:
+        return _Terms(self)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def _check(self, other: "Polynomial") -> None:
         if self.nvars != other.nvars:
             raise VariableCountMismatch(f"{self.nvars} variables vs {other.nvars}")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _at(self, bits: int) -> dict[int, int]:
+        """The terms packed with fields ``bits`` wide, at least this one's."""
+        old = self._bits
+        if bits == old:
+            return self._terms
+        mask = (1 << old) - 1
+        moves = [(i * old, i * bits) for i in range(self.nvars)]
+        terms = {}
+        for k, c in self._terms.items():
+            key = 0
+            for s, t in moves:
+                key |= (k >> s & mask) << t
+            terms[key] = c
+        return terms
+
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
         self._check(other)
-        terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            terms[exp] = terms.get(exp, 0) + coeff
-        return Polynomial(self.nvars, terms)
+        bits = max(self._bits, other._bits)
+        terms = dict(self._at(bits))
+        for key, coeff in other._at(bits).items():
+            terms[key] = terms.get(key, 0) + sign * coeff
+        return Polynomial._packed(self.nvars, bits, terms)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            terms[exp] = terms.get(exp, 0) - coeff
-        return Polynomial(self.nvars, terms)
+        return self._plus(other, -1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        terms: dict[Monomial, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return Polynomial(self.nvars, terms)
+        bits = max(self._bits, other._bits) + 1
+        right = other._at(bits).items()
+        terms: dict[int, int] = {}
+        get = terms.get
+        for k1, c1 in self._at(bits).items():
+            for k2, c2 in right:
+                k = k1 + k2
+                terms[k] = get(k, 0) + c1 * c2
+        return Polynomial._packed(self.nvars, bits, terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        bits = max(self._bits, other._bits)
+        return self.nvars == other.nvars and self._at(bits) == other._at(bits)
 
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
-        return f"Polynomial({self.nvars}, {len(self.terms)} terms)"
+        return f"Polynomial({self.nvars}, {len(self._terms)} terms)"
 
     def evaluate(self, values: Sequence[int]) -> int:
         if len(values) != self.nvars:
@@ -114,7 +177,17 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Descending lexicographic exponent order; the canonical term order."""
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
+        terms, mask = self._terms, (1 << self._bits) - 1
+        shifts = range((self.nvars - 1) * self._bits, -1, -self._bits)
+        return [
+            (tuple([k >> s & mask for s in shifts]), terms[k]) for k in sorted(terms, reverse=True)
+        ]
+
+    def leading_exponent(self) -> Monomial | None:
+        """The first exponent of ``sorted_terms``, found without sorting."""
+        if not self._terms:
+            return None
+        return _unpack(max(self._terms), self.nvars, self._bits)
 
     def to_json(self) -> dict:
         return {
@@ -127,6 +200,39 @@ class Polynomial:
         return cls(
             obj["N"], {tuple(t["exp"]): int(t["coeff"]) for t in obj["terms"]}
         )
+
+
+class _Terms(Mapping):
+    """The terms of a polynomial keyed by exponent tuples, unpacked on read."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: Polynomial) -> None:
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._terms)
+
+    def __iter__(self):
+        p = self._poly
+        return (_unpack(k, p.nvars, p._bits) for k in p._terms)
+
+    def __getitem__(self, exp: Monomial) -> int:
+        p = self._poly
+        if len(exp) != p.nvars or any(e >> p._bits for e in exp):
+            raise KeyError(exp)
+        return p._terms[_pack(exp, p._bits)]
+
+    def values(self):
+        return self._poly._terms.values()
+
+    def items(self):
+        return _TermItems(self)
+
+
+class _TermItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.values())
 
 
 @lru_cache(maxsize=None)
@@ -148,11 +254,13 @@ def skew_schur(shape: SkewShape, nvars: int) -> Polynomial:
     lam = tuple(shape.outer)
     rows = len(lam)
     inner = tuple(shape.inner.part(i) for i in range(1, rows + 1))
-    # Exponents stay sparse until the end, as flat (variable, power, ...)
-    # tuples extended only by a nonempty strip: dense tuples would cost
-    # O(nvars) per term at every level.
-    states: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {inner: {(): 1}}
+    # Terms are packed keys: a column holds each entry at most once, so no
+    # exponent exceeds lam[0], and a strip of size d at level k adds d to the
+    # field of x_{k+1}.
+    bits = max(lam[0] if lam else 0, 1).bit_length()
+    states: dict[tuple[int, ...], dict[int, int]] = {inner: {0: 1}}
     for k in range(nvars):
+        shift = (nvars - 1 - k) * bits
         # After this level row i of nu is at least row i + left of outer, so
         # that the variables left can still fill every column, and at most
         # row i of reach, row i - k - 1 of inner, since each level adds a
@@ -166,7 +274,7 @@ def skew_schur(shape: SkewShape, nvars: int) -> Polynomial:
         reach = lam[: k + 1] + inner[: max(rows - k - 1, 0)]
         free = [i for i in range(rows) if low[i] < lam[i] and low[i] < reach[i]]
         single = list(zip(low))  # the one choice (low[i],) of each row
-        nxt: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
         for rho, terms in states.items():
             ranges: list = single[:]
             for i in free:
@@ -177,7 +285,8 @@ def skew_schur(shape: SkewShape, nvars: int) -> Polynomial:
                 d = sum(nu) - size
                 add = by_strip.get(d)
                 if add is None:
-                    add = by_strip[d] = {e + (k, d): c for e, c in terms.items()}
+                    step = d << shift
+                    add = by_strip[d] = {e + step: c for e, c in terms.items()}
                 into = nxt.get(nu)
                 if into is None:
                     nxt[nu] = dict(add)
@@ -185,13 +294,7 @@ def skew_schur(shape: SkewShape, nvars: int) -> Polynomial:
                     for e, c in add.items():
                         into[e] = into.get(e, 0) + c
         states = nxt
-    dense: dict[Monomial, int] = {}
-    for e, c in states[lam].items():
-        exp = [0] * nvars
-        for var, power in zip(e[0::2], e[1::2]):
-            exp[var] = power
-        dense[tuple(exp)] = c
-    return Polynomial(nvars, dense)
+    return Polynomial._packed(nvars, bits, states[lam])
 
 
 def complete_homogeneous_values(values: Sequence[int], max_degree: int) -> list[int]:

@@ -90,6 +90,27 @@ class TestCompute:
         assert time.perf_counter() - t0 < 5.0
         assert visited == shapes_visited
 
+    # stdout of the expansions as the tuple-keyed engine printed them
+    @pytest.mark.parametrize(
+        "shape, n, sha256",
+        [
+            ("7,4,4,3,1,1,1/3,2,2,1", 6,
+             "7c0bca1fbc06a3d19c9e44b90e9c81480dad6a7e3c09096a313fe27b08272f56"),
+            ("1/", 300, "0d289f457ba7dd892f4a9af3ff8280760def43773f963662fe12f9f1123f564d"),
+            ("3,2,1/1", 4, "1d53a57068f1bd8b8215ff07513479095e329ba12d6a21f94bff694109c2ce60"),
+        ],
+        ids=["gallery-6-vars", "one-box-300-vars", "skew-3-2-1"],
+    )
+    def test_pinned_stdout(self, capsys, shape, n, sha256):
+        code, out = run(capsys, "compute", "--shape", shape, "--vars", str(n))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_part_of_two_to_the_forty(self, capsys):
+        code, out = run(capsys, "compute", "--shape", f"{2**40}/", "--vars", "1")
+        assert code == 0
+        assert json.loads(out)["polynomial"]["terms"] == [{"exp": [2**40], "coeff": "1"}]
+
     def test_eval(self, capsys):
         code, out = run(capsys, "compute", "--shape", "2,1/", "--vars", "2",
                         "--method", "eval", "--point", "1,1")
@@ -217,6 +238,12 @@ class TestIdentityTheorem:
         assert [(text(w), text(b)) for w, b in rhs] == self.PINNED_RHS
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_SHA256
 
+    def test_negative_first_point_as_separate_argument(self, capsys):
+        args = [a for a in self.PINNED_ARGS if not a.startswith("--s=")]
+        code, out = run(capsys, *args, "--s", "-7,1;13,N;18,N")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_SHA256
+
     def test_not_alternating_is_usage_error(self, capsys):
         code, _ = run(capsys, "identity-theorem", "--white", "2,2/", "--black", "4,1/",
                       "--s", "1,N")
@@ -232,6 +259,18 @@ class TestRecolourAndRender:
         assert obj["overlay"]["white"]["shape"]["outer"] == [9, 5, 5, 1, 1, 1]
         assert obj["overlay"]["white"]["shift"] == -1
         assert obj["overlay"]["black"]["shape"]["outer"] == [5, 3, 3, 2, 2, 1, 1, 1]
+
+    def test_recolour_negative_start_as_separate_argument(self, capsys, overlay_file):
+        joined = run(capsys, "recolour", "--overlay", overlay_file, "--start=-1,1;7,N")
+        separate = run(capsys, "recolour", "--overlay", overlay_file, "--start", "-1,1;7,N")
+        assert separate == joined and joined[0] == 0
+        assert json.loads(joined[1])["traced"][0]["from"] == [-1, "1"]
+
+    def test_render_negative_highlight_as_separate_argument(self, capsys, overlay_file):
+        joined = run(capsys, "render", "--overlay", overlay_file, "--highlight=-1,1")
+        separate = run(capsys, "render", "--overlay", overlay_file, "--highlight", "-1,1")
+        plain = run(capsys, "render", "--overlay", overlay_file)
+        assert separate == joined and joined[0] == 0 and joined != plain
 
     def test_recolour_both_ends_of_one_path(self, capsys, overlay_file):
         code = main(["recolour", "--overlay", overlay_file, "--start", "7,N;6,N"])

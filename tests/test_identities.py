@@ -289,6 +289,16 @@ class TestVerify:
         report = verify_identity(broken, method="full")
         assert not report.passed and report.witness is not None
 
+    def test_full_false_identity_pinned(self):
+        # s_{111} s_1 = s_{211} + s_{1111}, so the difference is x1 x2 x3 x4,
+        # and the lhs coefficient of x1 x2 x3 x4 is 3 + 1
+        lhs = (ProductTerm(SkewShape(P(1, 1, 1)), SkewShape(P(1))),)
+        rhs = (ProductTerm(SkewShape(P(2, 1, 1)), SkewShape(P())),)
+        report = verify_identity(Identity(lhs, rhs, 4, "false"), method="full")
+        assert report.verdict == "fail"
+        assert report.witness == (1, 1, 1, 1)
+        assert report.max_abs == 4
+
 
 class TestJson:
     def test_roundtrip(self):

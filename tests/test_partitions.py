@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from schurpaths import (
     peel_up,
     to_points,
 )
-from conftest import partitions_up_to
+from conftest import partitions_up_to, shapes_up_to
 
 LAM = Partition((10, 7, 7, 6, 6, 4, 4, 3, 2, 2))
 NU = Partition((10, 9, 8, 8, 6, 5, 5, 3, 2, 2))
@@ -273,8 +275,13 @@ class TestSkewShape:
     def test_size_and_columns(self):
         sh = SkewShape(Partition((3, 2)), Partition((1,)))
         assert sh.size == 4
-        assert sh.column_heights() == (1, 2, 1)
         assert sh.max_column_height == 2
+
+    def test_max_column_height_against_cells(self):
+        for sh in shapes_up_to(6):
+            heights = Counter(j for _, j in sh.cells())
+            assert sh.max_column_height == max(heights.values(), default=0), sh
+        assert SkewShape(Partition((2**40, 1))).max_column_height == 2
 
     def test_json_roundtrip(self):
         sh = SkewShape(Partition((3, 2)), Partition((1,)))

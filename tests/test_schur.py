@@ -23,8 +23,8 @@ def P(*parts):
 
 class TestPolynomial:
     def test_square_of_sum(self):
-        x1 = Polynomial.monomial((1, 0))
-        x2 = Polynomial.monomial((0, 1))
+        x1 = Polynomial(2, {(1, 0): 1})
+        x2 = Polynomial(2, {(0, 1): 1})
         s = x1 + x2
         assert (s * s).terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
@@ -56,6 +56,19 @@ class TestPolynomial:
         obj = p.to_json()
         assert [t["exp"] for t in obj["terms"]] == [[2, 0], [0, 2]]
         assert Polynomial.from_json(obj) == p
+
+    def test_wide_exponent_squared(self):
+        p = Polynomial(1, {(2**40,): 1})
+        assert (p * p).terms == {(2**41,): 1}
+
+    def test_equal_and_hash_equal_across_constructions(self):
+        poly = skew_schur(SkewShape(P(3, 1), P(1)), 3)
+        from_tuples = Polynomial(3, dict(poly.terms.items()))
+        from_json = Polynomial.from_json(poly.to_json())
+        widened = poly * Polynomial.one(3)  # the same terms in wider fields
+        for other in (from_tuples, from_json, widened):
+            assert other == poly and hash(other) == hash(poly)
+        assert poly + Polynomial.one(3) != poly
 
 
 class TestSkewSchur:
