@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .identities import (
     Identity,
@@ -25,7 +26,7 @@ from .overlay import Overlay, all_bicoloured, recolour, trace_bicoloured
 from .partitions import Partition, SkewShape, StripSpec
 from .paths import PathFamily, endpoints
 from .render import render_overlay
-from .schur import skew_schur, skew_schur_eval
+from .schur import Polynomial, skew_schur, skew_schur_eval
 from .selftest import default_seed, run_selftest
 
 
@@ -91,7 +92,60 @@ def parse_values(text: str) -> tuple[int, ...]:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    """Print ``payload`` as ``json.dumps(payload, indent=2)`` would, byte for byte.
+
+    CPython encodes with an indent in pure Python, and that dominated the
+    time of large ``compute`` runs, so the layout is written here.  A
+    ``Polynomial`` in the payload is printed as its ``to_json()`` would be.
+    Dict keys must be strings.  The test suite compares the two texts on the
+    payload of every command.
+    """
+    print(_dumps(payload, "\n"))
+
+
+def _dumps(obj, pad: str) -> str:
+    """The ``indent=2`` text of ``obj``; ``pad`` is the newline and indent of
+    the line it starts on."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in obj.items()]
+        )
+        return "{" + inner + body + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):
+            body = ("," + inner).join(map(int.__repr__, obj))
+        else:
+            body = ("," + inner).join([_dumps(v, inner) for v in obj])
+        return "[" + inner + body + pad + "]"
+    if isinstance(obj, Polynomial):
+        return _dumps_polynomial(obj, pad)
+    return json.dumps(obj)
+
+
+def _dumps_polynomial(poly: Polynomial, pad: str) -> str:
+    """The text of ``poly.to_json()``, one ``%`` format per term."""
+    i1, i2, i3, i4 = (pad + "  " * k for k in range(1, 5))
+    n = poly.nvars
+    exp = "[" + i4 + ("," + i4).join(["%d"] * n) + i3 + "]" if n else "[]"
+    term = "{" + i3 + '"exp": ' + exp + "," + i3 + '"coeff": "%d"' + i2 + "}"
+    terms = ("," + i2).join([term % (*e, c) for e, c in poly.sorted_terms()])
+    terms = "[" + i2 + terms + i1 + "]" if terms else "[]"
+    return "{" + i1 + '"N": ' + str(n) + "," + i1 + '"terms": ' + terms + pad + "}"
 
 
 def _load_overlay(path: str) -> Overlay:
@@ -113,7 +167,7 @@ def cmd_compute(args) -> int:
     shape = parse_shape(args.shape)
     if args.method == "enum":
         poly = skew_schur(shape, args.vars)
-        _emit({"shape": shape.to_json(), "N": args.vars, "polynomial": poly.to_json()})
+        _emit({"shape": shape.to_json(), "N": args.vars, "polynomial": poly})
         return 0
     if args.point is None:
         raise UsageError("--point is required with --method eval")

@@ -89,6 +89,10 @@ class Identity:
     def __post_init__(self) -> None:
         if self.alphabet is None:
             object.__setattr__(self, "alphabet", minimal_alphabet(self.all_shapes()))
+        elif self.alphabet < 1:
+            # with no variables multipoint evaluates at the empty point only,
+            # where nearly every identity holds
+            raise ValueError(f"alphabet must be positive: {self.alphabet}")
 
     def all_shapes(self) -> list[SkewShape]:
         shapes = []

@@ -251,9 +251,6 @@ class Overlay:
         )
         self._coloured = {(p.x, p.top): p for p in self.configuration.points}
 
-    def coloured_arcs(self, colour: Colour) -> set[Arc]:
-        return self._arcs[colour] - self.doubled_arcs
-
     def arc_colour_class(self, arc: Arc) -> str | None:
         """'white', 'black', 'doubled', or None for an unused arc."""
         w = arc in self._arcs[Colour.WHITE]

@@ -164,10 +164,6 @@ class SkewShape:
     def size(self) -> int:
         return self.outer.size - self.inner.size
 
-    @property
-    def is_straight(self) -> bool:
-        return len(self.inner) == 0
-
     def row_span(self, i: int) -> tuple[int, int]:
         """Half-open diagram column range of row ``i`` (0-indexed row)."""
         return self.inner.part(i + 1), self.outer.part(i + 1)

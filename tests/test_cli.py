@@ -98,8 +98,11 @@ class TestCompute:
              "7c0bca1fbc06a3d19c9e44b90e9c81480dad6a7e3c09096a313fe27b08272f56"),
             ("1/", 300, "0d289f457ba7dd892f4a9af3ff8280760def43773f963662fe12f9f1123f564d"),
             ("3,2,1/1", 4, "1d53a57068f1bd8b8215ff07513479095e329ba12d6a21f94bff694109c2ce60"),
+            # the README example, 68,272 terms
+            ("7,4,4,3,1,1,1/3,2,2,1", 8,
+             "571a8eeb2ee05e169a30890fd9cf5333a8e793a58cbc6ac43c70441727fffd65"),
         ],
-        ids=["gallery-6-vars", "one-box-300-vars", "skew-3-2-1"],
+        ids=["gallery-6-vars", "one-box-300-vars", "skew-3-2-1", "gallery-8-vars"],
     )
     def test_pinned_stdout(self, capsys, shape, n, sha256):
         code, out = run(capsys, "compute", "--shape", shape, "--vars", str(n))
@@ -184,6 +187,14 @@ class TestIdentityGps:
         code, _ = run(capsys, "identity-gps", "--lambda", "3,1", "--strips", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_alphabet_is_usage_error(self, capsys, n):
+        code = main(["identity-gps", "--lambda", "3,1", "--strips", "1:(2,1)",
+                     "--vars", n, "--method", "multipoint"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: alphabet must be positive: {n}\n"
+
 
 class TestIdentityTheorem:
     def test_equal_length_example(self, capsys):
@@ -243,6 +254,14 @@ class TestIdentityTheorem:
         code, out = run(capsys, *args, "--s", "-7,1;13,N;18,N")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_SHA256
+
+    def test_nonpositive_alphabet_is_usage_error(self, capsys):
+        code = main(["identity-theorem", "--white", "16,15,15,13,13,11,11,10,10,9,7,5/",
+                     "--black", "14,14,12,12,11,11,11,9,8,7,7,5/", "--s", "15,N",
+                     "--vars", "-2", "--method", "multipoint"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: alphabet must be positive: -2\n"
 
     def test_not_alternating_is_usage_error(self, capsys):
         code, _ = run(capsys, "identity-theorem", "--white", "2,2/", "--black", "4,1/",
@@ -329,3 +348,72 @@ class TestFailVerdictExitCode:
         broken = Identity(lhs, (), 2, "broken")
         report = verify_identity(broken, method="multipoint", points=3, seed=0)
         assert not report.passed and report.witness is not None
+
+
+def _reference(obj):
+    """``obj`` with each Polynomial replaced by its ``to_json()``."""
+    if isinstance(obj, schur.Polynomial):
+        return obj.to_json()
+    if isinstance(obj, dict):
+        return {k: _reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_reference(v) for v in obj)
+    return obj
+
+
+class TestEmit:
+    """``_emit`` prints exactly ``json.dumps(payload, indent=2)``."""
+
+    GPS = ("identity-gps", "--lambda", "10,7,7,6,6,4,4,3,2,2", "--mu", "4,3,3,1",
+           "--strips", "2:(2,3);1:(6,2)", "--vars", "11", "--points", "3", "--seed", "42")
+    # one box and one shifted box: a zero term on the right
+    THEOREM = ("identity-theorem", "--white", "1/", "--black", "1/", "--shift", "5",
+               "--s", "0,N", "--vars", "3")
+    COMMANDS = {
+        "compute-enum": ("compute", "--shape", "3,2,1/1", "--vars", "4"),
+        "compute-zero": ("compute", "--shape", "1,1,1/", "--vars", "2"),
+        "compute-eval": ("compute", "--shape", "2,1/", "--vars", "2", "--method", "eval",
+                         "--point", "-1,3"),
+        "endpoints": ("endpoints", "--shape", "3,1/1", "--rows", "3", "--shift", "2",
+                      "--vars", "4"),
+        "recolour-all": ("recolour", "--overlay", "OVERLAY", "--all"),
+        "identity-gps": GPS,
+        "identity-gps-verbose": GPS + ("--verbose",),
+        "identity-gps-full-verbose": ("identity-gps", "--lambda", "3,1", "--strips", "1:(2,1)",
+                                      "--method", "full", "--verbose"),
+        "identity-theorem": THEOREM,
+        "identity-theorem-verbose": THEOREM + ("--verbose",),
+        "selftest": ("selftest",),
+    }
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_command_payloads(self, capsys, monkeypatch, overlay_file, argv):
+        payloads = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda p: (payloads.append(p), emit(p)))
+        code, out = run(capsys, *(overlay_file if a == "OVERLAY" else a for a in argv))
+        assert code in (0, 1) and len(payloads) == 1
+        assert out == json.dumps(_reference(payloads[0]), indent=2) + "\n"
+
+    PAYLOADS = {
+        "zero-polynomial": {"polynomial": schur.Polynomial.zero(3)},
+        "one-variable": {"polynomial": skew_schur(SkewShape(Partition((2,))), 1)},
+        "one-box-300-vars": {"polynomial": skew_schur(SkewShape(Partition((1,))), 300)},
+        "no-variables": {"polynomial": schur.Polynomial.one(0)},
+        "signed-big-coefficients": {
+            "polynomial": schur.Polynomial(2, {(1, 0): -3, (0, 2): 10**40, (0, 0): 7})
+        },
+        "nested-polynomials": [schur.Polynomial.one(2), {"p": schur.Polynomial.zero(1)}],
+        "tuples": {"t": (1, (2, -3), ("a", None)), "empty": ()},
+        "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]]]},
+        "strings": {"λ/μ": "café ☃ \U0001d54a \"q\" \\ \n\t\x00", "": ""},
+        "ints": [-5, 0, 2**200, -(2**100)],
+        "ints-and-bools": [1, True, 0, False],
+        "floats": {"elapsed": 0.000468, "big": 1e300, "neg": -0.0, "list": [1.5, 2]},
+        "scalar": "text",
+    }
+
+    @pytest.mark.parametrize("payload", PAYLOADS.values(), ids=PAYLOADS.keys())
+    def test_values(self, capsys, payload):
+        cli._emit(payload)
+        assert capsys.readouterr().out == json.dumps(_reference(payload), indent=2) + "\n"

@@ -205,13 +205,22 @@ class TestBorderStripIdentity:
         assert Identity(lhs, rhs, 5).alphabet == 5
         assert Identity((), ()).alphabet == 1
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_alphabet_rejected(self, n):
+        # s_1 s_1 = 0 is false, but both sides are 0 at the empty point
+        lhs = (ProductTerm(SkewShape(P(1)), SkewShape(P(1))),)
+        with pytest.raises(ValueError, match="alphabet must be positive"):
+            Identity(lhs, (), n)
+        with pytest.raises(ValueError, match="alphabet must be positive"):
+            border_strip_identity(P(3, 1), (), [StripSpec(1, 2, 1)], alphabet=n)
+
     def test_empty_strips_rejected(self):
         with pytest.raises(ConstraintViolated):
             border_strip_identity(LAM, MU, [])
 
     def test_straight_shapes_when_mu_empty(self):
         ident = border_strip_identity(LAM, (), STRIPS)
-        assert all(t.white.is_straight and t.black.is_straight for t in ident.lhs + ident.rhs)
+        assert all(not t.white.inner and not t.black.inner for t in ident.lhs + ident.rhs)
 
 
 class TestConsistency:

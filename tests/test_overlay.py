@@ -60,8 +60,7 @@ class TestMakeOverlay:
         ov = Overlay(w, b)
         assert ov.configuration.points == ()
         assert ov.configuration.admissible
-        assert ov.coloured_arcs(Colour.WHITE) == set()
-        assert ov.coloured_arcs(Colour.BLACK) == set()
+        assert ov.doubled_arcs == w.arcs() == b.arcs()
 
     def test_disjoint_singles_four_coloured(self):
         ov = Overlay(_single((1,), (), [1], 2, shift=0), _single((1,), (), [2], 2, shift=5))
@@ -199,7 +198,7 @@ class TestAllBicoloured:
     def test_odd_degree_exactly_at_coloured_points(self, sampler):
         for _ in range(40):
             ov = Overlay(sampler.family(4), sampler.family(4))
-            arcs = ov.coloured_arcs(Colour.WHITE) | ov.coloured_arcs(Colour.BLACK)
+            arcs = ov.white.arcs() ^ ov.black.arcs()  # the arcs of one colour only
             deg = collections.Counter()
             for tail, head in arcs:
                 deg[tail] += 1
@@ -214,9 +213,7 @@ class TestAllBicoloured:
             paths, _ = all_bicoloured(ov)
             used = [a for q in paths for a in q.arc_set()]
             assert len(used) == len(set(used))
-            leftover = (
-                ov.coloured_arcs(Colour.WHITE) | ov.coloured_arcs(Colour.BLACK)
-            ) - set(used)
+            leftover = (ov.white.arcs() ^ ov.black.arcs()) - set(used)
             deg = collections.Counter()
             for tail, head in leftover:
                 deg[tail] += 1

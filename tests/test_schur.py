@@ -188,7 +188,7 @@ class TestEvalOracle:
         import itertools
 
         for shape in shapes_up_to(5):
-            if not shape.is_straight:
+            if shape.inner:
                 continue
             for n in (2, 3):
                 poly = skew_schur(shape, n)
