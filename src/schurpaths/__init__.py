@@ -7,20 +7,10 @@ functions, all in exact integer arithmetic.
 """
 
 from .partitions import (
-    BoxNumberOutOfRange,
-    ConstraintViolated,
-    EmptyPartition,
-    NegativePart,
-    NegativeResultingPart,
-    NotWeaklyDecreasing,
     Partition,
-    PartitionError,
     PointSet,
-    RowOutOfRange,
-    RowsTooSmall,
     SkewShape,
     StripSpec,
-    StripDoesNotFit,
     add_strip,
     build_nu,
     canonical_shape,
@@ -31,12 +21,8 @@ from .partitions import (
     to_points,
 )
 from .tableaux import (
-    ColumnViolation,
-    EntryOutOfRange,
-    RowViolation,
-    ShapeMismatch,
+    CellViolation,
     Tableau,
-    TableauError,
     enumerate_ssyt,
     first_tableau,
     last_tableau,
@@ -46,7 +32,6 @@ from .tableaux import (
 )
 from .paths import (
     LatticePath,
-    MalformedFamily,
     PathFamily,
     endpoints,
     family_from_paths,
@@ -59,14 +44,9 @@ from .overlay import (
     CircularConfiguration,
     Colour,
     ColouredPoint,
-    LevelMismatch,
     Matching,
-    NotAdmissibleConfiguration,
-    NotColouredPoint,
-    OddColouredCount,
     Orientation,
     Overlay,
-    PathNotInOverlay,
     admissible_flip_sets,
     all_bicoloured,
     enumerate_admissible_matchings,
@@ -75,18 +55,14 @@ from .overlay import (
 )
 from .schur import (
     Polynomial,
-    VariableCountMismatch,
     bareiss_determinant,
     complete_homogeneous_values,
     skew_schur,
     skew_schur_eval,
 )
 from .identities import (
-    EmptyS,
     Identity,
-    NotAlternating,
     ProductTerm,
-    SNotInward,
     VerificationReport,
     border_strip_identity,
     configuration_from_shapes,

@@ -30,10 +30,6 @@ from .schur import Polynomial, skew_schur, skew_schur_eval
 from .selftest import default_seed, run_selftest
 
 
-class UsageError(ValueError):
-    pass
-
-
 def parse_partition(text: str) -> Partition:
     text = text.strip()
     if not text:
@@ -41,7 +37,7 @@ def parse_partition(text: str) -> Partition:
     try:
         return Partition(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad partition {text!r}: {exc}") from exc
+        raise ValueError(f"bad partition {text!r}: {exc}") from exc
 
 
 def parse_shape(text: str) -> SkewShape:
@@ -49,7 +45,7 @@ def parse_shape(text: str) -> SkewShape:
     try:
         return SkewShape(parse_partition(outer), parse_partition(inner))
     except ValueError as exc:
-        raise UsageError(f"bad shape {text!r}: {exc}") from exc
+        raise ValueError(f"bad shape {text!r}: {exc}") from exc
 
 
 def parse_strips(text: str) -> list[StripSpec]:
@@ -63,7 +59,7 @@ def parse_strips(text: str) -> list[StripSpec]:
             row, span = rest.strip().lstrip("(").rstrip(")").split(",")
             strips.append(StripSpec(int(boxes), int(row), int(span)))
         except ValueError as exc:
-            raise UsageError(f"bad strip {chunk!r}, expected 't:(r,m)'") from exc
+            raise ValueError(f"bad strip {chunk!r}, expected 't:(r,m)'") from exc
     return strips
 
 
@@ -80,7 +76,7 @@ def parse_points(text: str) -> list[tuple[int, str]]:
                 raise ValueError(f"level must be 1 or N, got {level!r}")
             pts.append((int(x), level))
         except ValueError as exc:
-            raise UsageError(f"bad point {chunk!r}, expected 'x,level'") from exc
+            raise ValueError(f"bad point {chunk!r}, expected 'x,level'") from exc
     return pts
 
 
@@ -88,7 +84,7 @@ def parse_values(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad point values {text!r}") from exc
+        raise ValueError(f"bad point values {text!r}") from exc
 
 
 def _emit(payload: dict) -> None:
@@ -155,8 +151,8 @@ def _load_overlay(path: str) -> Overlay:
         return Overlay(
             PathFamily.from_json(obj["white"]), PathFamily.from_json(obj["black"])
         )
-    except (OSError, KeyError, ValueError) as exc:
-        raise UsageError(f"--overlay: cannot load {path!r}: {exc}") from exc
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"--overlay: cannot load {path!r}: {exc}") from exc
 
 
 def _overlay_json(ov: Overlay) -> dict:
@@ -170,10 +166,10 @@ def cmd_compute(args) -> int:
         _emit({"shape": shape.to_json(), "N": args.vars, "polynomial": poly})
         return 0
     if args.point is None:
-        raise UsageError("--point is required with --method eval")
+        raise ValueError("--point is required with --method eval")
     values = parse_values(args.point)
     if len(values) != args.vars:
-        raise UsageError(f"--point needs {args.vars} values, got {len(values)}")
+        raise ValueError(f"--point needs {args.vars} values, got {len(values)}")
     value = skew_schur_eval(shape, values)
     _emit({"shape": shape.to_json(), "point": list(values), "value": str(value)})
     return 0
@@ -181,6 +177,8 @@ def cmd_compute(args) -> int:
 
 def cmd_endpoints(args) -> int:
     shape = parse_shape(args.shape)
+    if args.vars < 1:
+        raise ValueError(f"alphabet must be positive: {args.vars}")
     rows = args.rows if args.rows is not None else shape.rows
     starts, ends = endpoints(shape, rows, args.shift)
     _emit(
@@ -206,7 +204,7 @@ def cmd_recolour(args) -> int:
             y = ov.top if level == "N" else 1
             chosen.append(trace_bicoloured(ov, x, y))
     else:
-        raise UsageError("--start or --all is required")
+        raise ValueError("--start or --all is required")
     result = recolour(ov, chosen)
     _emit(
         {
@@ -241,7 +239,7 @@ def cmd_identity_theorem(args) -> int:
     black = parse_shape(args.black)
     s = parse_points(args.s)
     if not s:
-        raise UsageError("--s must name at least one point")
+        raise ValueError("--s must name at least one point")
     terms = recolouring_expansion(white, black, s, shifts=(0, args.shift))
     identity = Identity((ProductTerm(white, black),), terms, args.vars, "recolouring expansion")
     return _verify_and_emit(identity, args)

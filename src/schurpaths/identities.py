@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Sequence
 
 from .overlay import CircularConfiguration, admissible_flip_sets
 from .partitions import (
-    ConstraintViolated,
     Partition,
     SkewShape,
     StripSpec,
@@ -28,18 +27,6 @@ from .partitions import (
     to_points,
 )
 from .schur import Polynomial, skew_schur, skew_schur_eval
-
-
-class NotAlternating(ValueError):
-    pass
-
-
-class EmptyS(ValueError):
-    pass
-
-
-class SNotInward(ValueError):
-    pass
 
 
 # ``auto`` expands in full when the estimated tableau count is at most this.
@@ -204,14 +191,14 @@ def recolouring_expansion(
     """
     config = configuration_from_shapes(white, black, shifts, rows)
     if not config.alternating:
-        raise NotAlternating("coloured point orientations do not alternate")
+        raise ValueError("coloured point orientations do not alternate")
     s_pts = {(int(x), _as_top(level)) for x, level in s}
     if not s_pts:
-        raise EmptyS("s must be nonempty")
+        raise ValueError("s must be nonempty")
     inward = {(p.x, p.top): p.index for p in config.inward_points()}
     missing = s_pts - set(inward)
     if missing:
-        raise SNotInward(f"not inward coloured points: {sorted(missing)}")
+        raise ValueError(f"not inward coloured points: {sorted(missing)}")
     s_idx = {inward[p] for p in s_pts}
 
     terms: list[ProductTerm] = []
@@ -246,7 +233,7 @@ def border_strip_identity(
     lam = Partition(lam)
     mu = Partition(mu)
     if not strips:
-        raise ConstraintViolated("at least one strip is required")
+        raise ValueError("at least one strip is required")
     nu = build_nu(lam, strips)
     sigma = peel_complete(nu)
     lhs = (ProductTerm(SkewShape(lam, mu), SkewShape(sigma, mu)),)

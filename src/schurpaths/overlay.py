@@ -30,26 +30,6 @@ from .partitions import SkewShape, canonical_shape
 from .paths import Arc, LatticePath, PathFamily, Point, family_from_paths
 
 
-class LevelMismatch(ValueError):
-    pass
-
-
-class NotColouredPoint(ValueError):
-    pass
-
-
-class OddColouredCount(ValueError):
-    """Internal inconsistency; cannot occur for valid overlays."""
-
-
-class PathNotInOverlay(ValueError):
-    pass
-
-
-class NotAdmissibleConfiguration(ValueError):
-    pass
-
-
 class Colour(Enum):
     WHITE = "white"
     BLACK = "black"
@@ -98,7 +78,7 @@ class CircularConfiguration:
 
     def __post_init__(self) -> None:
         if len(self.points) % 2:
-            raise OddColouredCount(f"{len(self.points)} coloured points")
+            raise ValueError(f"{len(self.points)} coloured points")
         for i, p in enumerate(self.points, start=1):
             if p.index != i:
                 raise ValueError(f"point {p} out of circular order")
@@ -224,11 +204,11 @@ class Overlay:
 
     def __init__(self, white: PathFamily, black: PathFamily) -> None:
         if white.alphabet != black.alphabet:
-            raise LevelMismatch(
+            raise ValueError(
                 f"white ends on level {white.alphabet}, black on {black.alphabet}"
             )
         if white.alphabet < 2:
-            raise LevelMismatch("overlays need at least two levels")
+            raise ValueError("overlays need at least two levels")
         self.white = white
         self.black = black
         self.top = white.alphabet
@@ -273,9 +253,9 @@ class Overlay:
         elif level == 1:
             key = (x, False)
         else:
-            raise NotColouredPoint(f"level {level} holds no start/end points")
+            raise ValueError(f"level {level} holds no start/end points")
         if key not in self._coloured:
-            raise NotColouredPoint(f"({x}, {level}) is not a coloured point")
+            raise ValueError(f"({x}, {level}) is not a coloured point")
         return self._coloured[key]
 
 
@@ -357,18 +337,18 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
     for bp in chosen:
         for pos in bp.endpoint_positions:
             if pos not in ov._coloured:
-                raise PathNotInOverlay(f"endpoint {pos} is not a coloured point here")
+                raise ValueError(f"endpoint {pos} is not a coloured point here")
             owner = flip_indices.setdefault(ov._coloured[pos].index, bp)
             if owner is not bp:
-                raise PathNotInOverlay(
+                raise ValueError(
                     f"start points {owner.start.x},{owner.start.level_name} and "
                     f"{bp.start.x},{bp.start.level_name} trace the same path"
                 )
         for arc, colour in bp.arcs:
             if ov.arc_colour_class(arc) != colour.value:
-                raise PathNotInOverlay(f"arc {arc} is not a {colour.value} arc here")
+                raise ValueError(f"arc {arc} is not a {colour.value} arc here")
             if arc in flip_arcs:
-                raise PathNotInOverlay(f"arc {arc} appears in two chosen paths")
+                raise ValueError(f"arc {arc} appears in two chosen paths")
             flip_arcs[arc] = colour
 
     arcs = {
@@ -414,7 +394,7 @@ def _assemble_family(arc_set: set[Arc], start_xs: list[int], end_xs: list[int], 
 
 def _require_admissible(config: CircularConfiguration) -> None:
     if not config.admissible:
-        raise NotAdmissibleConfiguration(
+        raise ValueError(
             f"{len(config.inward_points())} inward of {len(config.points)} points"
         )
 

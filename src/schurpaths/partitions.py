@@ -15,49 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
-class PartitionError(ValueError):
-    """Invalid partition data or an operation applied out of range."""
-
-
-class NotWeaklyDecreasing(PartitionError):
-    pass
-
-
-class NegativePart(PartitionError):
-    pass
-
-
-class RowsTooSmall(PartitionError):
-    pass
-
-
-class NegativeResultingPart(PartitionError):
-    """A point set that would decode to a row of negative length."""
-
-
-class EmptyPartition(PartitionError):
-    pass
-
-
-class RowOutOfRange(PartitionError):
-    pass
-
-
-class BoxNumberOutOfRange(PartitionError):
-    pass
-
-
-class StripDoesNotFit(PartitionError):
-    pass
-
-
-class ConstraintViolated(PartitionError):
-    """A strip sequence violating the construction constraints.
-
-    The message names the offending constraint and the strip index.
-    """
-
-
 class Partition(tuple):
     """A weakly decreasing sequence of positive integers.
 
@@ -69,9 +26,9 @@ class Partition(tuple):
         data = tuple(int(p) for p in parts)
         for a, b in zip(data, data[1:]):
             if b > a:
-                raise NotWeaklyDecreasing(f"parts must weakly decrease: {a} before {b}")
+                raise ValueError(f"parts must weakly decrease: {a} before {b}")
         if data and data[-1] < 0:
-            raise NegativePart(f"parts must be nonnegative: {data[-1]}")
+            raise ValueError(f"parts must be nonnegative: {data[-1]}")
         while data and data[-1] == 0:
             data = data[:-1]
         return super().__new__(cls, data)
@@ -79,7 +36,7 @@ class Partition(tuple):
     def part(self, i: int) -> int:
         """The ``i``-th part, 1-indexed, zero past the last stored part."""
         if i < 1:
-            raise RowOutOfRange(f"row index must be positive: {i}")
+            raise ValueError(f"row index must be positive: {i}")
         return self[i - 1] if i <= len(self) else 0
 
     @property
@@ -104,7 +61,7 @@ class PointSet:
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
         for a, b in zip(self.values, self.values[1:]):
             if b >= a:
-                raise PartitionError(f"point set must strictly decrease: {a} then {b}")
+                raise ValueError(f"point set must strictly decrease: {a} then {b}")
 
     @property
     def rows(self) -> int:
@@ -112,12 +69,12 @@ class PointSet:
 
     def with_removed(self, value: int) -> "PointSet":
         if value not in self.values:
-            raise PartitionError(f"point {value} not present")
+            raise ValueError(f"point {value} not present")
         return PointSet(tuple(v for v in self.values if v != value), self.shift)
 
     def with_added(self, value: int) -> "PointSet":
         if value in self.values:
-            raise PartitionError(f"point {value} already present")
+            raise ValueError(f"point {value} already present")
         return PointSet(tuple(sorted(self.values + (value,), reverse=True)), self.shift)
 
     def partition(self) -> Partition:
@@ -128,7 +85,7 @@ def to_points(p: Partition, rows: int, shift: int = 0) -> PointSet:
     """Boundary points ``part(i) - i + shift`` for ``i = 1..rows``."""
     p = Partition(p)
     if rows < len(p):
-        raise RowsTooSmall(f"need at least {len(p)} rows, got {rows}")
+        raise ValueError(f"need at least {len(p)} rows, got {rows}")
     return PointSet(tuple(p.part(i) - i + shift for i in range(1, rows + 1)), shift)
 
 
@@ -138,7 +95,7 @@ def from_points(ps: PointSet) -> Partition:
     for i, v in enumerate(ps.values, start=1):
         part = v + i - ps.shift
         if part < 0:
-            raise NegativeResultingPart(f"row {i} would have length {part}")
+            raise ValueError(f"row {i} would have length {part}")
         parts.append(part)
     return Partition(parts)
 
@@ -154,7 +111,7 @@ class SkewShape:
         object.__setattr__(self, "outer", Partition(self.outer))
         object.__setattr__(self, "inner", Partition(self.inner))
         if not self.outer.contains(self.inner):
-            raise PartitionError(f"inner {self.inner} does not fit inside outer {self.outer}")
+            raise ValueError(f"inner {self.inner} does not fit inside outer {self.outer}")
 
     @property
     def rows(self) -> int:
@@ -237,7 +194,7 @@ def peel_complete(p: Partition) -> Partition:
     """Remove the full border strip, dropping the largest boundary point."""
     p = Partition(p)
     if not p:
-        raise EmptyPartition("cannot peel the empty partition")
+        raise ValueError("cannot peel the empty partition")
     ps = to_points(p, len(p))
     return ps.with_removed(ps.values[0]).partition()
 
@@ -249,7 +206,7 @@ def peel_down(p: Partition, i: int) -> Partition:
     """
     p = Partition(p)
     if not 1 <= i <= len(p):
-        raise RowOutOfRange(f"row {i} outside 1..{len(p)}")
+        raise ValueError(f"row {i} outside 1..{len(p)}")
     ps = to_points(p, len(p))
     return ps.with_removed(ps.values[i - 1]).partition()
 
@@ -263,9 +220,9 @@ def peel_up(p: Partition, i: int, t: int) -> Partition:
     """
     p = Partition(p)
     if i < 1:
-        raise RowOutOfRange(f"row index must be positive: {i}")
+        raise ValueError(f"row index must be positive: {i}")
     if not 1 <= t <= p.part(i) - p.part(i + 1):
-        raise BoxNumberOutOfRange(
+        raise ValueError(
             f"box {t} outside 1..{p.part(i) - p.part(i + 1)} for row {i}"
         )
     ps = to_points(p, len(p))
@@ -282,11 +239,11 @@ def add_strip(p: Partition, s: StripSpec) -> Partition:
     p = Partition(p)
     r, m, t = s.row, s.span, s.boxes
     if r < 2 or m < 1 or t < 1:
-        raise StripDoesNotFit(f"need row >= 2, span >= 1, boxes >= 1: got {s}")
+        raise ValueError(f"need row >= 2, span >= 1, boxes >= 1: got {s}")
     if r + m - 1 > len(p):
-        raise StripDoesNotFit(f"strip spans rows {r}..{r + m - 1}, partition has {len(p)}")
+        raise ValueError(f"strip spans rows {r}..{r + m - 1}, partition has {len(p)}")
     if t > p.part(r - 1) - p.part(r):
-        raise StripDoesNotFit(
+        raise ValueError(
             f"boxes {t} exceeds {p.part(r - 1)} - {p.part(r)} available in row {r}"
         )
     ps = to_points(p, len(p))
@@ -307,17 +264,17 @@ def build_nu(p: Partition, strips: Sequence[StripSpec]) -> Partition:
     strips = list(strips)
     for idx, s in enumerate(strips, start=1):
         if s.row < 2 or s.row > len(p):
-            raise ConstraintViolated(f"strip {idx}: row {s.row} outside 2..{len(p)}")
+            raise ValueError(f"strip {idx}: row {s.row} outside 2..{len(p)}")
         if idx > 1 and strips[idx - 2].row >= s.row:
-            raise ConstraintViolated(f"strip {idx}: rows must strictly increase")
+            raise ValueError(f"strip {idx}: rows must strictly increase")
         gap = p.part(s.row - 1) - p.part(s.row)
         if gap <= 0:
-            raise ConstraintViolated(f"strip {idx}: row {s.row} is not shorter than row {s.row - 1}")
+            raise ValueError(f"strip {idx}: row {s.row} is not shorter than row {s.row - 1}")
         if not 1 <= s.boxes <= gap:
-            raise ConstraintViolated(f"strip {idx}: boxes {s.boxes} outside 1..{gap}")
+            raise ValueError(f"strip {idx}: boxes {s.boxes} outside 1..{gap}")
         nxt = strips[idx].row if idx < len(strips) else len(p) + 1
         if not 1 <= s.span <= nxt - s.row:
-            raise ConstraintViolated(f"strip {idx}: span {s.span} outside 1..{nxt - s.row}")
+            raise ValueError(f"strip {idx}: span {s.span} outside 1..{nxt - s.row}")
     out = p
     for s in strips:
         out = add_strip(out, s)

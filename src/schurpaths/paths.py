@@ -19,10 +19,6 @@ Point = tuple[int, int]
 Arc = tuple[Point, Point]
 
 
-class MalformedFamily(ValueError):
-    """Endpoints or steps inconsistent with any skew shape."""
-
-
 @dataclass(frozen=True)
 class LatticePath:
     start: Point
@@ -32,7 +28,7 @@ class LatticePath:
         object.__setattr__(self, "start", (int(self.start[0]), int(self.start[1])))
         object.__setattr__(self, "steps", tuple(self.steps))
         if any(s not in ("R", "U") for s in self.steps):
-            raise MalformedFamily(f"steps must be 'R' or 'U': {self.steps}")
+            raise ValueError(f"steps must be 'R' or 'U': {self.steps}")
 
     @property
     def end(self) -> Point:
@@ -91,20 +87,20 @@ class PathFamily:
         object.__setattr__(self, "paths", tuple(self.paths))
         n = self.alphabet
         if n < 1:
-            raise MalformedFamily(f"alphabet must be positive: {n}")
+            raise ValueError(f"alphabet must be positive: {n}")
         if len(self.paths) < self.shape.rows:
-            raise MalformedFamily(
+            raise ValueError(
                 f"need at least {self.shape.rows} paths, got {len(self.paths)}"
             )
         for i, path in enumerate(self.paths, start=1):
             want_start = (self.shape.inner.part(i) - i + self.shift, 1)
             want_end = (self.shape.outer.part(i) - i + self.shift, n)
             if path.start != want_start or path.end != want_end:
-                raise MalformedFamily(
+                raise ValueError(
                     f"path {i} runs {path.start}->{path.end}, expected {want_start}->{want_end}"
                 )
         if not is_nonintersecting(self.paths):
-            raise MalformedFamily("paths share a lattice point")
+            raise ValueError("paths share a lattice point")
 
     @property
     def rows(self) -> int:
@@ -162,7 +158,7 @@ def tableau_to_paths(t: Tableau, shift: int = 0, rows: int | None = None) -> Pat
     if rows is None:
         rows = t.shape.rows
     if rows < t.shape.rows:
-        raise MalformedFamily(f"rows {rows} below the shape's {t.shape.rows}")
+        raise ValueError(f"rows {rows} below the shape's {t.shape.rows}")
     paths = []
     for i in range(1, rows + 1):
         x = t.shape.inner.part(i) - i + shift
@@ -187,18 +183,15 @@ def family_from_paths(paths: Iterable[LatticePath], alphabet: int) -> PathFamily
     """Build a family from bare paths, deriving the shape and shift.
 
     The shift is chosen maximal subject to all parts being nonnegative, which
-    makes the smallest decoded part zero.  Raises MalformedFamily when the
+    makes the smallest decoded part zero.  Raises ValueError when the
     endpoints fit no skew shape.
     """
     ordered = sorted(paths, key=lambda p: p.start[0], reverse=True)
     starts = [p.start[0] for p in ordered]
     ends = [p.end[0] for p in ordered]
     if any(a <= b for a, b in zip(ends, ends[1:])):
-        raise MalformedFamily("end points out of order for start point order")
-    try:
-        shape, shift = canonical_shape(starts, ends)
-    except ValueError as exc:
-        raise MalformedFamily(str(exc)) from exc
+        raise ValueError("end points out of order for start point order")
+    shape, shift = canonical_shape(starts, ends)
     return PathFamily(tuple(ordered), shape, shift, alphabet)
 
 

@@ -32,10 +32,6 @@ from .tableaux import enumerate_ssyt  # noqa: F401
 Monomial = tuple[int, ...]
 
 
-class VariableCountMismatch(ValueError):
-    pass
-
-
 def _pack(exp: Sequence[int], bits: int) -> int:
     key = 0
     for e in exp:
@@ -68,7 +64,7 @@ class Polynomial:
         top = 0
         for exp in terms:
             if len(exp) != nvars:
-                raise VariableCountMismatch(f"exponent {exp} has length != {nvars}")
+                raise ValueError(f"exponent {exp} has length != {nvars}")
             if min(exp, default=0) < 0:
                 raise ValueError(f"exponent {exp} has a negative entry")
             top = max(top, max(exp, default=0))
@@ -109,7 +105,7 @@ class Polynomial:
 
     def _check(self, other: "Polynomial") -> None:
         if self.nvars != other.nvars:
-            raise VariableCountMismatch(f"{self.nvars} variables vs {other.nvars}")
+            raise ValueError(f"{self.nvars} variables vs {other.nvars}")
 
     def _at(self, bits: int) -> dict[int, int]:
         """The terms packed with fields ``bits`` wide, at least this one's."""
@@ -166,7 +162,7 @@ class Polynomial:
 
     def evaluate(self, values: Sequence[int]) -> int:
         if len(values) != self.nvars:
-            raise VariableCountMismatch(f"need {self.nvars} values, got {len(values)}")
+            raise ValueError(f"need {self.nvars} values, got {len(values)}")
         total = 0
         for exp, coeff in self.terms.items():
             m = coeff
@@ -339,10 +335,9 @@ def skew_schur_eval(shape: SkewShape, values: Sequence[int]) -> int:
     r = len(lam)
     if r == 0:
         return 1
-    degrees = [
-        [lam.part(i) - mu.part(j) - i + j for j in range(1, r + 1)] for i in range(1, r + 1)
-    ]
-    max_degree = max(max(row) for row in degrees)
-    h = complete_homogeneous_values(values, max(max_degree, 0))
-    m = [[h[d] if d >= 0 else 0 for d in row] for row in degrees]
-    return bareiss_determinant(m)
+    # entry (i, j) is h_{a_i - b_j}; a and b strictly decrease, so the top
+    # degree a_1 - b_r is at least lam_1 - mu_r >= 0
+    a = [lam.part(i) - i for i in range(1, r + 1)]
+    b = [mu.part(j) - j for j in range(1, r + 1)]
+    h = complete_homogeneous_values(values, a[0] - b[-1])
+    return bareiss_determinant([[h[x - y] if x >= y else 0 for y in b] for x in a])

@@ -9,32 +9,12 @@ from typing import Iterator, Sequence
 from .partitions import SkewShape
 
 
-class TableauError(ValueError):
-    pass
-
-
-class ShapeMismatch(TableauError):
-    pass
-
-
-class CellViolation(TableauError):
+class CellViolation(ValueError):
     """Carries the offending cell as 0-indexed (row, diagram column)."""
 
     def __init__(self, cell: tuple[int, int], message: str) -> None:
         super().__init__(message)
         self.cell = cell
-
-
-class RowViolation(CellViolation):
-    pass
-
-
-class ColumnViolation(CellViolation):
-    pass
-
-
-class EntryOutOfRange(CellViolation):
-    pass
 
 
 @dataclass(frozen=True)
@@ -72,23 +52,23 @@ def validate_tableau(shape: SkewShape, rows: Sequence[Sequence[int]], alphabet: 
     """
     rows = tuple(tuple(int(v) for v in r) for r in rows)
     if len(rows) != shape.rows:
-        raise ShapeMismatch(f"expected {shape.rows} rows, got {len(rows)}")
+        raise ValueError(f"expected {shape.rows} rows, got {len(rows)}")
     for i in range(shape.rows):
         lo, hi = shape.row_span(i)
         if len(rows[i]) != hi - lo:
-            raise ShapeMismatch(f"row {i} expected {hi - lo} entries, got {len(rows[i])}")
+            raise ValueError(f"row {i} expected {hi - lo} entries, got {len(rows[i])}")
     for i in range(shape.rows):
         lo, hi = shape.row_span(i)
         for j in range(lo, hi):
             v = rows[i][j - lo]
             if not 1 <= v <= alphabet:
-                raise EntryOutOfRange((i, j), f"entry {v} at ({i}, {j}) outside 1..{alphabet}")
+                raise CellViolation((i, j), f"entry {v} at ({i}, {j}) outside 1..{alphabet}")
             if j - 1 >= lo and v < rows[i][j - 1 - lo]:
-                raise RowViolation((i, j), f"row {i} decreases at column {j}")
+                raise CellViolation((i, j), f"row {i} decreases at column {j}")
             if i > 0 and shape.has_cell(i - 1, j):
                 above = rows[i - 1][j - shape.row_span(i - 1)[0]]
                 if v <= above:
-                    raise ColumnViolation((i, j), f"column {j} fails to increase at row {i}")
+                    raise CellViolation((i, j), f"column {j} fails to increase at row {i}")
     return Tableau(shape, rows, alphabet)
 
 
@@ -180,7 +160,7 @@ def last_tableau(shape: SkewShape, alphabet: int) -> Tableau | None:
             rows[i].insert(0, v)
     try:
         return validate_tableau(shape, rows, alphabet)
-    except TableauError:
+    except ValueError:
         return None
 
 

@@ -13,12 +13,17 @@ from schurpaths.partitions import Partition, SkewShape, StripSpec
 from schurpaths.schur import skew_schur
 
 
+def write_overlay(tmp_path, name, make):
+    """Write ``make(white, black)`` of the small demo overlay's JSON families."""
+    ov = demo_overlay_small()
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(make(ov.white.to_json(), ov.black.to_json())))
+    return str(path)
+
+
 @pytest.fixture
 def overlay_file(tmp_path):
-    ov = demo_overlay_small()
-    path = tmp_path / "overlay.json"
-    path.write_text(json.dumps({"white": ov.white.to_json(), "black": ov.black.to_json()}))
-    return str(path)
+    return write_overlay(tmp_path, "overlay", lambda w, b: {"white": w, "black": b})
 
 
 def run(capsys, *argv):
@@ -138,6 +143,13 @@ class TestEndpoints:
         obj = json.loads(out)
         assert obj["ends"][10] == -7
         assert obj["starts"][0] == 9
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_nonpositive_alphabet_is_usage_error(self, capsys, n):
+        code = main(["endpoints", "--shape", "3,1/1", "--vars", n])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: alphabet must be positive: {n}\n"
 
 
 class TestIdentityGps:
@@ -318,6 +330,99 @@ class TestRecolourAndRender:
     def test_missing_overlay_file(self, capsys):
         code, _ = run(capsys, "render", "--overlay", "/does/not/exist.json")
         assert code == 2
+
+
+# Structurally wrong overlay files: JSON that parses but is no overlay.
+MALFORMED_OVERLAYS = {
+    "top-level-list": lambda w, b: [1, 2],
+    "family-int": lambda w, b: {"white": 5, "black": b},
+    "shift-str": lambda w, b: {"white": dict(w, shift="a"), "black": b},
+    "outer-int": lambda w, b: {"white": dict(w, shape=dict(w["shape"], outer=1)), "black": b},
+    "tableau-row-int": lambda w, b: {"white": dict(w, tableau=[3] + w["tableau"][1:]), "black": b},
+    "rows-str": lambda w, b: {"white": dict(w, rows="x"), "black": b},
+}
+
+
+class TestMalformedOverlay:
+    @pytest.mark.parametrize(
+        "command", [["recolour", "--all"], ["render"]], ids=["recolour", "render"]
+    )
+    @pytest.mark.parametrize("make", MALFORMED_OVERLAYS.values(), ids=MALFORMED_OVERLAYS.keys())
+    def test_usage_error_without_traceback(self, capsys, tmp_path, command, make):
+        path = write_overlay(tmp_path, "malformed", make)
+        code = main([command[0], "--overlay", path, *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: --overlay: cannot load {path!r}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def _row_decreases(w, b):
+    return {"white": dict(w, tableau=[[4, 3, 7, 7]] + w["tableau"][1:]), "black": b}
+
+
+BIG_WHITE = "16,15,15,13,13,11,11,10,10,9,7,5/"
+BIG_BLACK = "14,14,12,12,11,11,11,9,8,7,7,5/"
+
+# The stderr of each kind of refusal, as the library phrases it; "{overlay}"
+# is the small demo overlay and "{cell}" the same with a decreasing row.
+REFUSALS = {
+    "bad-partition": (
+        ["compute", "--shape", "2,x/", "--vars", "2"],
+        "error: bad shape '2,x/': bad partition '2,x': "
+        "invalid literal for int() with base 10: 'x'",
+    ),
+    "not-weakly-decreasing": (
+        ["compute", "--shape", "2,3/", "--vars", "2"],
+        "error: bad shape '2,3/': bad partition '2,3': parts must weakly decrease: 2 before 3",
+    ),
+    "shape-not-nested": (
+        ["compute", "--shape", "2,1/3", "--vars", "2"],
+        "error: bad shape '2,1/3': inner (3,) does not fit inside outer (2, 1)",
+    ),
+    "strip-constraint": (
+        ["identity-gps", "--lambda", "3,1", "--strips", "1:(1,1)"],
+        "error: strip 1: row 1 outside 2..2",
+    ),
+    "empty-strips": (
+        ["identity-gps", "--lambda", "3,1", "--strips", ""],
+        "error: at least one strip is required",
+    ),
+    "not-alternating": (
+        ["identity-theorem", "--white", "2,2/", "--black", "4,1/", "--s", "1,N"],
+        "error: coloured point orientations do not alternate",
+    ),
+    "s-not-inward": (
+        ["identity-theorem", "--white", BIG_WHITE, "--black", BIG_BLACK, "--s", "13,N"],
+        "error: not inward coloured points: [(13, True)]",
+    ),
+    "start-not-coloured": (
+        ["recolour", "--overlay", "{overlay}", "--start", "100,N"],
+        "error: (100, 8) is not a coloured point",
+    ),
+    "starts-trace-one-path": (
+        ["recolour", "--overlay", "{overlay}", "--start", "7,N;6,N"],
+        "error: start points 7,N and 6,N trace the same path",
+    ),
+    "point-length": (
+        ["compute", "--shape", "2,1/", "--vars", "2", "--method", "eval", "--point", "1"],
+        "error: --point needs 2 values, got 1",
+    ),
+    "overlay-cell-violation": (
+        ["render", "--overlay", "{cell}"],
+        "error: --overlay: cannot load {cell!r}: row 0 decreases at column 4",
+    ),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv, err", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_exact_stderr(self, capsys, tmp_path, overlay_file, argv, err):
+        files = {"overlay": overlay_file, "cell": write_overlay(tmp_path, "cell", _row_decreases)}
+        code = main([a.format(**files) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == err.format(**files) + "\n"
 
 
 class TestSelftest:

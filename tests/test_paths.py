@@ -2,7 +2,6 @@ import pytest
 
 from schurpaths import (
     LatticePath,
-    MalformedFamily,
     Partition,
     PathFamily,
     SkewShape,
@@ -29,7 +28,7 @@ class TestLatticePath:
         assert p.horizontal_heights() == [1, 2]
 
     def test_bad_step(self):
-        with pytest.raises(MalformedFamily):
+        with pytest.raises(ValueError, match=r"steps must be 'R' or 'U'"):
             LatticePath((0, 1), ("X",))
 
 
@@ -151,7 +150,7 @@ class TestFamilyFromPaths:
             LatticePath((0, 1), ("U",)),
             LatticePath((-1, 1), ("R", "R", "U")),
         )
-        with pytest.raises(MalformedFamily):
+        with pytest.raises(ValueError, match=r"end points out of order for start point order"):
             family_from_paths(paths, 2)
 
 

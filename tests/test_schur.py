@@ -6,7 +6,6 @@ from schurpaths import (
     Partition,
     Polynomial,
     SkewShape,
-    VariableCountMismatch,
     bareiss_determinant,
     complete_homogeneous_values,
     enumerate_ssyt,
@@ -38,9 +37,9 @@ class TestPolynomial:
         assert p.terms == {(2, 1): 1, (1, 2): 1}
 
     def test_variable_count_mismatch(self):
-        with pytest.raises(VariableCountMismatch):
+        with pytest.raises(ValueError, match=r"2 variables vs 3"):
             Polynomial.one(2) + Polynomial.one(3)
-        with pytest.raises(VariableCountMismatch):
+        with pytest.raises(ValueError, match=r"2 variables vs 3"):
             Polynomial.one(2) * Polynomial.one(3)
 
     def test_zero_coefficients_dropped(self):

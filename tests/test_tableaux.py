@@ -3,11 +3,8 @@ import random
 import pytest
 
 from schurpaths import (
-    ColumnViolation,
-    EntryOutOfRange,
+    CellViolation,
     Partition,
-    RowViolation,
-    ShapeMismatch,
     SkewShape,
     Tableau,
     enumerate_ssyt,
@@ -29,21 +26,22 @@ class TestValidate:
         assert t.rows == ((1,),)
 
     def test_column_violation_coordinates(self):
-        with pytest.raises(ColumnViolation) as err:
+        with pytest.raises(CellViolation, match=r"column 0 fails to increase at row 1") as err:
             validate_tableau(SkewShape(Partition((2, 1))), [[1, 1], [1]], 2)
         assert err.value.cell == (1, 0)
 
     def test_row_violation(self):
-        with pytest.raises(RowViolation) as err:
+        with pytest.raises(CellViolation, match=r"row 0 decreases at column 1") as err:
             validate_tableau(SkewShape(Partition((2,))), [[2, 1]], 2)
         assert err.value.cell == (0, 1)
 
     def test_entry_out_of_range(self):
-        with pytest.raises(EntryOutOfRange):
+        with pytest.raises(CellViolation, match=r"entry 3 at \(0, 0\) outside 1\.\.2") as err:
             validate_tableau(SkewShape(Partition((1,))), [[3]], 2)
+        assert err.value.cell == (0, 0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"row 0 expected 2 entries, got 1"):
             validate_tableau(SkewShape(Partition((2,))), [[1]], 2)
 
     def test_skew_eight_semistandard(self):
