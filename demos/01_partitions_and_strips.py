@@ -10,7 +10,6 @@ from schurpaths import (
     StripSpec,
     add_strip,
     build_nu,
-    from_points,
     peel_complete,
     peel_down,
     peel_up,
@@ -42,4 +41,4 @@ print("up-peel of lambda at row 5, box 1:", tuple(peel_up(lam, 5, 1)))
 print()
 
 points = to_points(lam, 12, shift=3)
-print("the point model is exact:", tuple(from_points(points)) == tuple(lam))
+print("the point model is exact:", tuple(points.partition()) == tuple(lam))

@@ -20,7 +20,8 @@ print()
 
 print("coloured points in circular order (index, x, level, colour, orientation):")
 for p in ov.configuration.points:
-    print(f"  {p.index:2d}  x={p.x:4d}  level {p.level_name}  {p.colour.value:5s}  {p.orientation.value}")
+    orientation = "in" if p.inward else "out"
+    print(f"  {p.index:2d}  x={p.x:4d}  level {p.level_name}  {p.colour.value:5s}  {orientation}")
 print("doubled end points:", ov.configuration.doubled_top)
 print("doubled start points:", ov.configuration.doubled_bottom)
 print()

@@ -14,7 +14,6 @@ from .partitions import (
     add_strip,
     build_nu,
     canonical_shape,
-    from_points,
     peel_complete,
     peel_down,
     peel_up,
@@ -45,7 +44,6 @@ from .overlay import (
     Colour,
     ColouredPoint,
     Matching,
-    Orientation,
     Overlay,
     admissible_flip_sets,
     all_bicoloured,

@@ -155,6 +155,13 @@ def _load_overlay(path: str) -> Overlay:
         raise ValueError(f"--overlay: cannot load {path!r}: {exc}") from exc
 
 
+def _trace_points(ov: Overlay, text: str) -> list:
+    """The bicoloured path traced from each point of the list ``text``."""
+    return [
+        trace_bicoloured(ov, x, ov.top if level == "N" else 1) for x, level in parse_points(text)
+    ]
+
+
 def _overlay_json(ov: Overlay) -> dict:
     return {"white": ov.white.to_json(), "black": ov.black.to_json()}
 
@@ -199,10 +206,7 @@ def cmd_recolour(args) -> int:
     if args.all:
         chosen, _ = all_bicoloured(ov)
     elif args.start:
-        chosen = []
-        for x, level in parse_points(args.start):
-            y = ov.top if level == "N" else 1
-            chosen.append(trace_bicoloured(ov, x, y))
+        chosen = _trace_points(ov, args.start)
     else:
         raise ValueError("--start or --all is required")
     result = recolour(ov, chosen)
@@ -255,11 +259,7 @@ def cmd_identity_gps(args) -> int:
 
 def cmd_render(args) -> int:
     ov = _load_overlay(args.overlay)
-    highlight = []
-    if args.highlight:
-        for x, level in parse_points(args.highlight):
-            y = ov.top if level == "N" else 1
-            highlight.append(trace_bicoloured(ov, x, y))
+    highlight = _trace_points(ov, args.highlight) if args.highlight else []
     svg = render_overlay(ov, highlight, scale=args.scale)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -54,12 +54,6 @@ class ProductTerm:
             return {"zero": True}
         return [self.white.to_json(), self.black.to_json()]
 
-    @classmethod
-    def from_json(cls, obj) -> "ProductTerm":
-        if isinstance(obj, dict) and obj.get("zero"):
-            return cls(None, None)
-        return cls(SkewShape.from_json(obj[0]), SkewShape.from_json(obj[1]))
-
 
 @dataclass(frozen=True)
 class Identity:
@@ -95,15 +89,6 @@ class Identity:
             "N": self.alphabet,
             "provenance": self.provenance,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Identity":
-        return cls(
-            tuple(ProductTerm.from_json(t) for t in obj["lhs"]),
-            tuple(ProductTerm.from_json(t) for t in obj["rhs"]),
-            obj["N"],
-            obj.get("provenance", ""),
-        )
 
 
 @dataclass(frozen=True)
@@ -312,8 +297,8 @@ def verify_identity(
     if method == "auto":
         method = "full" if estimate_expansion_size(identity) <= AUTO_BUDGET else "multipoint"
     if method == "full":
-        lhs = _side(identity.lhs, lambda sh: skew_schur(sh, n), Polynomial.zero(n))
-        rhs = _side(identity.rhs, lambda sh: skew_schur(sh, n), Polynomial.zero(n))
+        lhs = _side(identity.lhs, lambda sh: skew_schur(sh, n), Polynomial(n))
+        rhs = _side(identity.rhs, lambda sh: skew_schur(sh, n), Polynomial(n))
         max_abs = max(map(abs, [*lhs.terms.values(), *rhs.terms.values()]), default=0)
         witness = (lhs - rhs).leading_exponent()
         return VerificationReport(

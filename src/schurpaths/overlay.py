@@ -39,11 +39,6 @@ class Colour(Enum):
         return Colour.BLACK if self is Colour.WHITE else Colour.WHITE
 
 
-class Orientation(Enum):
-    INWARD = "in"
-    OUTWARD = "out"
-
-
 @dataclass(frozen=True)
 class ColouredPoint:
     """A start/end point carried by exactly one family.
@@ -58,10 +53,9 @@ class ColouredPoint:
     index: int
 
     @property
-    def orientation(self) -> Orientation:
+    def inward(self) -> bool:
         """White points are inward on top and outward at the bottom; black the reverse."""
-        inward = (self.colour is Colour.WHITE) == self.top
-        return Orientation.INWARD if inward else Orientation.OUTWARD
+        return (self.colour is Colour.WHITE) == self.top
 
     @property
     def level_name(self) -> str:
@@ -110,20 +104,19 @@ class CircularConfiguration:
 
     @property
     def admissible(self) -> bool:
-        inward = sum(1 for p in self.points if p.orientation is Orientation.INWARD)
-        return inward * 2 == len(self.points)
+        return sum(p.inward for p in self.points) * 2 == len(self.points)
 
     @property
     def alternating(self) -> bool:
         """Orientations alternate around the circle (cyclically)."""
         n = len(self.points)
         return all(
-            self.points[i].orientation is not self.points[(i + 1) % n].orientation
+            self.points[i].inward != self.points[(i + 1) % n].inward
             for i in range(n)
         )
 
     def inward_points(self) -> tuple[ColouredPoint, ...]:
-        return tuple(p for p in self.points if p.orientation is Orientation.INWARD)
+        return tuple(p for p in self.points if p.inward)
 
     def reoriented(self, indices: Iterable[int]) -> "CircularConfiguration":
         """Flip the colour (and hence orientation) of the points at ``indices``."""
@@ -196,7 +189,7 @@ class Matching:
 
     def joins_opposite(self, config: CircularConfiguration) -> bool:
         pts = config.points
-        return all(pts[a - 1].orientation is not pts[b - 1].orientation for a, b in self.pairs)
+        return all(pts[a - 1].inward != pts[b - 1].inward for a, b in self.pairs)
 
 
 class Overlay:
@@ -212,36 +205,26 @@ class Overlay:
         self.white = white
         self.black = black
         self.top = white.alphabet
-        self._arcs = {Colour.WHITE: white.arcs(), Colour.BLACK: black.arcs()}
-        self.doubled_arcs = frozenset(self._arcs[Colour.WHITE] & self._arcs[Colour.BLACK])
         self._out: dict[Colour, dict[Point, Arc]] = {}
         self._in: dict[Colour, dict[Point, Arc]] = {}
-        for colour in Colour:
+        for colour, fam in ((Colour.WHITE, white), (Colour.BLACK, black)):
             out: dict[Point, Arc] = {}
             inn: dict[Point, Arc] = {}
-            for arc in self._arcs[colour]:
+            for arc in fam.arcs():
                 tail, head = arc
                 assert tail not in out and head not in inn, "family intersects itself"
                 out[tail] = arc
                 inn[head] = arc
             self._out[colour] = out
             self._in[colour] = inn
+        white_out = self._out[Colour.WHITE]
+        self.doubled_arcs = frozenset(
+            arc for arc in self._out[Colour.BLACK].values() if white_out.get(arc[0]) == arc
+        )
         self.configuration = CircularConfiguration.from_point_sets(
             white.start_xs(), white.end_xs(), black.start_xs(), black.end_xs()
         )
         self._coloured = {(p.x, p.top): p for p in self.configuration.points}
-
-    def arc_colour_class(self, arc: Arc) -> str | None:
-        """'white', 'black', 'doubled', or None for an unused arc."""
-        w = arc in self._arcs[Colour.WHITE]
-        b = arc in self._arcs[Colour.BLACK]
-        if w and b:
-            return "doubled"
-        if w:
-            return "white"
-        if b:
-            return "black"
-        return None
 
     def on_family(self, colour: Colour, point: Point) -> bool:
         # with two or more levels every path has an arc, so its points are arc ends
@@ -278,7 +261,7 @@ def trace_bicoloured(ov: Overlay, x: int, level: int) -> BicolouredPath:
     trail: list[Point] = [v]
     # one more than the number of coloured arcs, |white - doubled| + |black - doubled|
     budget = (
-        len(ov._arcs[Colour.WHITE]) + len(ov._arcs[Colour.BLACK]) - 2 * len(ov.doubled_arcs) + 1
+        len(ov._out[Colour.WHITE]) + len(ov._out[Colour.BLACK]) - 2 * len(ov.doubled_arcs) + 1
     )
     while True:
         arc = (ov._out if direction > 0 else ov._in)[colour].get(v)
@@ -345,36 +328,31 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
                     f"{bp.start.x},{bp.start.level_name} trace the same path"
                 )
         for arc, colour in bp.arcs:
-            if ov.arc_colour_class(arc) != colour.value:
+            if ov._out[colour].get(arc[0]) != arc or arc in ov.doubled_arcs:
                 raise ValueError(f"arc {arc} is not a {colour.value} arc here")
             if arc in flip_arcs:
                 raise ValueError(f"arc {arc} appears in two chosen paths")
             flip_arcs[arc] = colour
 
-    arcs = {
-        Colour.WHITE: set(ov._arcs[Colour.WHITE]),
-        Colour.BLACK: set(ov._arcs[Colour.BLACK]),
-    }
+    out = {colour: dict(ov._out[colour]) for colour in Colour}
     for arc, colour in flip_arcs.items():
-        arcs[colour].discard(arc)
-        arcs[colour.other].add(arc)
+        del out[colour][arc[0]]
+    for arc, colour in flip_arcs.items():
+        if arc[0] in out[colour.other]:
+            raise AssertionError("recoloured family intersects itself")
+        out[colour.other][arc[0]] = arc
 
     config = ov.configuration.reoriented(flip_indices)
     families = {}
     for colour in Colour:
         families[colour] = _assemble_family(
-            arcs[colour], config.colour_point_xs(colour, False),
+            out[colour], config.colour_point_xs(colour, False),
             config.colour_point_xs(colour, True), ov.top,
         )
     return Overlay(families[Colour.WHITE], families[Colour.BLACK])
 
 
-def _assemble_family(arc_set: set[Arc], start_xs: list[int], end_xs: list[int], top: int) -> PathFamily:
-    out: dict[Point, Arc] = {}
-    for arc in arc_set:
-        if arc[0] in out:
-            raise AssertionError("recoloured family intersects itself")
-        out[arc[0]] = arc
+def _assemble_family(out: dict[Point, Arc], start_xs: list[int], end_xs: list[int], top: int) -> PathFamily:
     paths = []
     for x in start_xs:
         v: Point = (x, 1)
@@ -409,7 +387,7 @@ def enumerate_admissible_matchings(config: CircularConfiguration) -> tuple[Match
     oracle.
     """
     _require_admissible(config)
-    orientations = [p.orientation for p in config.points]
+    inward = [p.inward for p in config.points]
 
     def rec(segment: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
         if not segment:
@@ -418,7 +396,7 @@ def enumerate_admissible_matchings(config: CircularConfiguration) -> tuple[Match
         first = segment[0]
         for k in range(1, len(segment), 2):
             j = segment[k]
-            if orientations[first - 1] is orientations[j - 1]:
+            if inward[first - 1] == inward[j - 1]:
                 continue
             for left in rec(segment[1:k]):
                 for right in rec(segment[k + 1 :]):
@@ -448,7 +426,7 @@ def admissible_flip_sets(
     """
     _require_admissible(config)
     s = frozenset(s)
-    inward = [p.orientation is Orientation.INWARD for p in config.points]
+    inward = [p.inward for p in config.points]
     # over the first i points: inward minus outward, and the number in s
     balance = list(accumulate((1 if inw else -1 for inw in inward), initial=0))
     in_s = list(accumulate((p.index in s for p in config.points), initial=0))

@@ -78,7 +78,14 @@ class PointSet:
         return PointSet(tuple(sorted(self.values + (value,), reverse=True)), self.shift)
 
     def partition(self) -> Partition:
-        return from_points(self)
+        """Reread the point set as a partition; inverse of :func:`to_points`."""
+        parts = []
+        for i, v in enumerate(self.values, start=1):
+            part = v + i - self.shift
+            if part < 0:
+                raise ValueError(f"row {i} would have length {part}")
+            parts.append(part)
+        return Partition(parts)
 
 
 def to_points(p: Partition, rows: int, shift: int = 0) -> PointSet:
@@ -87,17 +94,6 @@ def to_points(p: Partition, rows: int, shift: int = 0) -> PointSet:
     if rows < len(p):
         raise ValueError(f"need at least {len(p)} rows, got {rows}")
     return PointSet(tuple(p.part(i) - i + shift for i in range(1, rows + 1)), shift)
-
-
-def from_points(ps: PointSet) -> Partition:
-    """Reread a point set as a partition; inverse of :func:`to_points`."""
-    parts = []
-    for i, v in enumerate(ps.values, start=1):
-        part = v + i - ps.shift
-        if part < 0:
-            raise ValueError(f"row {i} would have length {part}")
-        parts.append(part)
-    return Partition(parts)
 
 
 @dataclass(frozen=True)
@@ -265,14 +261,14 @@ def build_nu(p: Partition, strips: Sequence[StripSpec]) -> Partition:
     for idx, s in enumerate(strips, start=1):
         if s.row < 2 or s.row > len(p):
             raise ValueError(f"strip {idx}: row {s.row} outside 2..{len(p)}")
-        if idx > 1 and strips[idx - 2].row >= s.row:
-            raise ValueError(f"strip {idx}: rows must strictly increase")
         gap = p.part(s.row - 1) - p.part(s.row)
         if gap <= 0:
             raise ValueError(f"strip {idx}: row {s.row} is not shorter than row {s.row - 1}")
         if not 1 <= s.boxes <= gap:
             raise ValueError(f"strip {idx}: boxes {s.boxes} outside 1..{gap}")
         nxt = strips[idx].row if idx < len(strips) else len(p) + 1
+        if nxt <= s.row:
+            raise ValueError(f"strip {idx + 1}: rows must strictly increase")
         if not 1 <= s.span <= nxt - s.row:
             raise ValueError(f"strip {idx}: span {s.span} outside 1..{nxt - s.row}")
     out = p

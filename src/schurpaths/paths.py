@@ -120,12 +120,6 @@ class PathFamily:
             out.update(p.arcs())
         return out
 
-    def lattice_points(self) -> set[Point]:
-        out: set[Point] = set()
-        for p in self.paths:
-            out.update(p.points())
-        return out
-
     def start_xs(self) -> tuple[int, ...]:
         return tuple(p.start[0] for p in self.paths)
 

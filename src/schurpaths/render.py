@@ -12,7 +12,7 @@ import math
 import xml.etree.ElementTree as ET
 from typing import Iterable, Sequence
 
-from .overlay import BicolouredPath, CircularConfiguration, Colour, Orientation, Overlay
+from .overlay import BicolouredPath, CircularConfiguration, Colour, Overlay
 from .partitions import SkewShape
 
 
@@ -55,8 +55,8 @@ def render_overlay(
 ) -> str:
     """The two families over the lattice, with optional bicoloured highlights."""
     _check_scale(scale)
-    pts = ov.white.lattice_points() | ov.black.lattice_points()
-    xs = [p[0] for p in pts] or [0]
+    # paths step only right or up, so their x values span start to end
+    xs = ov.white.start_xs() + ov.black.start_xs() + ov.white.end_xs() + ov.black.end_xs() or (0,)
     x_lo, x_hi = min(xs), max(xs)
     s, m = scale, MARGIN
 
@@ -201,8 +201,7 @@ def render_configuration(config: CircularConfiguration) -> str:
             fill=fill,
             stroke=BLACK_COLOUR,
         )
-        inward = p.orientation is Orientation.INWARD
-        r1, r2 = (radius - 8, radius - 22) if inward else (radius + 8, radius + 22)
+        r1, r2 = (radius - 8, radius - 22) if p.inward else (radius + 8, radius + 22)
         _polyline(
             group,
             [

@@ -87,14 +87,6 @@ class Polynomial:
         poly._set(nvars, bits, packed)
         return poly
 
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
-
-    @classmethod
-    def one(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: 1})
-
     @property
     def terms(self) -> Mapping[Monomial, int]:
         return _Terms(self)
@@ -246,7 +238,7 @@ def skew_schur(shape: SkewShape, nvars: int) -> Polynomial:
     if nvars < 1:
         raise ValueError(f"alphabet must be positive: {nvars}")
     if shape.max_column_height > nvars:
-        return Polynomial.zero(nvars)
+        return Polynomial(nvars)
     lam = tuple(shape.outer)
     rows = len(lam)
     inner = tuple(shape.inner.part(i) for i in range(1, rows + 1))

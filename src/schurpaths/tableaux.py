@@ -32,17 +32,6 @@ class Tableau:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
 
-    def to_json(self) -> dict:
-        return {
-            "shape": self.shape.to_json(),
-            "rows": [list(r) for r in self.rows],
-            "N": self.alphabet,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Tableau":
-        return validate_tableau(SkewShape.from_json(obj["shape"]), obj["rows"], obj["N"])
-
 
 def validate_tableau(shape: SkewShape, rows: Sequence[Sequence[int]], alphabet: int) -> Tableau:
     """Check dimensions, entry range, row and column conditions.

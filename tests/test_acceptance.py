@@ -206,7 +206,7 @@ def test_criterion_5_involution_suite():
         paths, matching = all_bicoloured(ov)  # checks retracing per point
         by_idx = {p.index: p for p in ov.configuration.points}
         for a, b in matching.pairs:
-            assert by_idx[a].orientation is not by_idx[b].orientation
+            assert by_idx[a].inward != by_idx[b].inward
             assert (a - b) % 2 == 1
         assert matching.is_noncrossing
         before = tuple(map(operator.add, ov.white.weight(), ov.black.weight()))

@@ -7,7 +7,7 @@ import pytest
 
 from schurpaths import cli, schur
 from schurpaths.cli import main, parse_shape, parse_strips
-from schurpaths.gallery import demo_overlay_small
+from schurpaths.gallery import demo_overlay_large, demo_overlay_small
 from schurpaths.identities import Identity, ProductTerm, verify_identity
 from schurpaths.partitions import Partition, SkewShape, StripSpec
 from schurpaths.schur import skew_schur
@@ -331,6 +331,31 @@ class TestRecolourAndRender:
         code, _ = run(capsys, "render", "--overlay", "/does/not/exist.json")
         assert code == 2
 
+    # stdout of recolour and render on the two gallery overlays, byte for byte
+    @pytest.mark.parametrize(
+        "make, argv, sha256",
+        [
+            (demo_overlay_large, ["recolour", "--all"],
+             "aa1d09c789371b32842ff39d240bf6742cd5859b2464669647602cf01b65327a"),
+            (demo_overlay_small, ["recolour", "--all"],
+             "3f03a85217d493cbad831962922e563f35eaaaaffb721882b6a84cfd284612d6"),
+            (demo_overlay_large, ["recolour", "--start", "15,N;5,1"],
+             "9904fb1628d58c5479d7d3c0c5c885dcdbd31f4f58e55e7ea4cfb75f23142d75"),
+            (demo_overlay_small, ["recolour", "--start", "7,N"],
+             "9b7aa230a0a153303e4c10e2660c7c975d93e248cdd68629b618ce171e777552"),
+            (demo_overlay_large, ["render", "--highlight", "15,N"],
+             "df8e59365b101a40f499e60269e02c808cc71b033033c77022d2b8ea60c01f53"),
+        ],
+        ids=["large-all", "small-all", "large-start", "small-start", "large-render"],
+    )
+    def test_pinned_stdout(self, capsys, tmp_path, make, argv, sha256):
+        ov = make()
+        path = tmp_path / "overlay.json"
+        path.write_text(json.dumps({"white": ov.white.to_json(), "black": ov.black.to_json()}))
+        code, out = run(capsys, argv[0], "--overlay", str(path), *argv[1:])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
 
 # Structurally wrong overlay files: JSON that parses but is no overlay.
 MALFORMED_OVERLAYS = {
@@ -383,6 +408,10 @@ REFUSALS = {
     "strip-constraint": (
         ["identity-gps", "--lambda", "3,1", "--strips", "1:(1,1)"],
         "error: strip 1: row 1 outside 2..2",
+    ),
+    "strips-not-increasing": (
+        ["identity-gps", "--lambda", "10,7,7,6,6,4,4,3,2,2", "--strips", "2:(2,3);1:(2,2)"],
+        "error: strip 2: rows must strictly increase",
     ),
     "empty-strips": (
         ["identity-gps", "--lambda", "3,1", "--strips", ""],
@@ -501,14 +530,14 @@ class TestEmit:
         assert out == json.dumps(_reference(payloads[0]), indent=2) + "\n"
 
     PAYLOADS = {
-        "zero-polynomial": {"polynomial": schur.Polynomial.zero(3)},
+        "zero-polynomial": {"polynomial": schur.Polynomial(3)},
         "one-variable": {"polynomial": skew_schur(SkewShape(Partition((2,))), 1)},
         "one-box-300-vars": {"polynomial": skew_schur(SkewShape(Partition((1,))), 300)},
-        "no-variables": {"polynomial": schur.Polynomial.one(0)},
+        "no-variables": {"polynomial": schur.Polynomial(0, {(): 1})},
         "signed-big-coefficients": {
             "polynomial": schur.Polynomial(2, {(1, 0): -3, (0, 2): 10**40, (0, 0): 7})
         },
-        "nested-polynomials": [schur.Polynomial.one(2), {"p": schur.Polynomial.zero(1)}],
+        "nested-polynomials": [schur.Polynomial(2, {(0, 0): 1}), {"p": schur.Polynomial(1)}],
         "tuples": {"t": (1, (2, -3), ("a", None)), "empty": ()},
         "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]]]},
         "strings": {"λ/μ": "café ☃ \U0001d54a \"q\" \\ \n\t\x00", "": ""},

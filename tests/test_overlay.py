@@ -10,7 +10,6 @@ from schurpaths import (
     CircularConfiguration,
     Colour,
     ColouredPoint,
-    Orientation,
     Overlay,
     Partition,
     SkewShape,
@@ -73,10 +72,10 @@ class TestMakeOverlay:
         w = _single((2,), (), [1, 1], 2)
         b = _single((2,), (), [1, 1], 2, shift=1)
         ov = Overlay(w, b)
-        assert ov.arc_colour_class(((0, 1), (1, 1))) == "doubled"
-        assert ov.arc_colour_class(((-1, 1), (0, 1))) == "white"
-        assert ov.arc_colour_class(((1, 1), (2, 1))) == "black"
-        assert ov.arc_colour_class(((5, 5), (6, 5))) is None
+        assert ov.doubled_arcs == {((0, 1), (1, 1))}
+        assert ((-1, 1), (0, 1)) in w.arcs() - b.arcs()  # white only
+        assert ((1, 1), (2, 1)) in b.arcs() - w.arcs()  # black only
+        assert ((5, 5), (6, 5)) not in w.arcs() | b.arcs()
 
     def test_point_classes(self):
         w = _single((2,), (), [1, 1], 2)
@@ -108,9 +107,9 @@ class TestMakeOverlay:
 class TestCircularOrder:
     def test_large_example_indices(self):
         cfg = demo_overlay_large().configuration
-        seq = [(p.x, p.level_name, p.colour, p.orientation) for p in cfg.points]
-        assert seq[0] == (15, "N", Colour.WHITE, Orientation.INWARD)
-        assert seq[1] == (6, "N", Colour.BLACK, Orientation.OUTWARD)
+        seq = [(p.x, p.level_name, p.colour, p.inward) for p in cfg.points]
+        assert seq[0] == (15, "N", Colour.WHITE, True)
+        assert seq[1] == (6, "N", Colour.BLACK, False)
         assert [(p.x, p.level_name) for p in cfg.points] == [
             (15, "N"), (6, "N"), (2, "N"), (-3, "N"),
             (-12, "1"), (-10, "1"), (-9, "1"), (-8, "1"), (5, "1"), (10, "1"),
@@ -120,10 +119,10 @@ class TestCircularOrder:
     def test_orientation_convention(self):
         ov = Overlay(_single((1,), (), [1], 2, shift=0), _single((1,), (), [2], 2, shift=5))
         by_pos = {(p.x, p.top): p for p in ov.configuration.points}
-        assert by_pos[(0, True)].orientation is Orientation.INWARD  # white end
-        assert by_pos[(-1, False)].orientation is Orientation.OUTWARD  # white start
-        assert by_pos[(5, True)].orientation is Orientation.OUTWARD  # black end
-        assert by_pos[(4, False)].orientation is Orientation.INWARD  # black start
+        assert by_pos[(0, True)].inward is True  # white end
+        assert by_pos[(-1, False)].inward is False  # white start
+        assert by_pos[(5, True)].inward is False  # black end
+        assert by_pos[(4, False)].inward is True  # black start
 
     def test_odd_count_rejected(self):
         pt = ColouredPoint(0, True, Colour.WHITE, 1)
@@ -186,7 +185,7 @@ class TestAllBicoloured:
             paths, matching = all_bicoloured(ov)
             by_idx = {p.index: p for p in ov.configuration.points}
             for a, b in matching.pairs:
-                assert by_idx[a].orientation is not by_idx[b].orientation
+                assert by_idx[a].inward != by_idx[b].inward
                 assert (a - b) % 2 == 1
             assert matching.is_noncrossing
 
@@ -293,15 +292,15 @@ class TestRecolourIsReorientation:
             self._check_subsets(Overlay(sampler.family(4), sampler.family(4)), limit=32)
 
 
-def _pattern_config(orientations):
+def _pattern_config(inward):
     pts = []
-    for k, o in enumerate(orientations):
-        colour = Colour.WHITE if o is Orientation.INWARD else Colour.BLACK
-        pts.append(ColouredPoint(len(orientations) - k, True, colour, k + 1))
+    for k, o in enumerate(inward):
+        colour = Colour.WHITE if o else Colour.BLACK  # white is inward on top
+        pts.append(ColouredPoint(len(inward) - k, True, colour, k + 1))
     return CircularConfiguration(tuple(pts), (), ())
 
 
-IN, OUT = Orientation.INWARD, Orientation.OUTWARD
+IN, OUT = True, False
 
 
 class TestMatchingEnumeration:
@@ -331,9 +330,10 @@ class TestFlipSets:
     """``admissible_flip_sets`` against the first-appearance dedupe over every matching."""
 
     @pytest.mark.parametrize("k", range(1, 7))
-    @pytest.mark.parametrize("phase", [IN, OUT])
+    # phase: whether the first point is inward; the ids keep the cases' names stable
+    @pytest.mark.parametrize("phase", [IN, OUT], ids=["Orientation.INWARD", "Orientation.OUTWARD"])
     def test_alternating_every_s(self, k, phase):
-        pattern = [phase, OUT if phase is IN else IN] * k
+        pattern = [phase, not phase] * k
         cfg = _pattern_config(pattern)
         inward = [p.index for p in cfg.inward_points()]
         for r in range(1, k + 1):

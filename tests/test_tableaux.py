@@ -6,7 +6,6 @@ from schurpaths import (
     CellViolation,
     Partition,
     SkewShape,
-    Tableau,
     enumerate_ssyt,
     first_tableau,
     last_tableau,
@@ -130,7 +129,3 @@ class TestExtremesAndRandom:
         t = random_tableau(SkewShape(Partition((4, 3, 3, 1)), Partition((2, 1))), 5, rng)
         assert t.rows == rows
         assert rng.randrange(10**6) == next_draw
-
-    def test_json_roundtrip(self):
-        t = first_tableau(FIG_SHAPE, 8)
-        assert Tableau.from_json(t.to_json()) == t

@@ -35,7 +35,7 @@ shape = prog.cli.parse_shape
 prog.identities.recolouring_expansion(shape("1/"), shape("2/"), {(0, "N")})
 for name in ("cli.main", "identities.verify_identity", "schur.skew_schur",
              "schur.Polynomial.mul", "overlay.trace_bicoloured", "paths.family_from_paths",
-             "identities.recolouring_expansion"):
+             "identities.recolouring_expansion", "partitions", "overlay.Overlay.init"):
     assert tracer.counts[name + ".calls"] > 0, name
 """
 
