@@ -1,8 +1,10 @@
 """The bijection between tableaux and nonintersecting lattice paths.
 
 Row i of the tableau becomes path i (counted from the right): the height of
-the j-th horizontal step equals the j-th entry of the row.  The bijection
-preserves weights, and the shape can be read back off the endpoints.
+the j-th horizontal step equals the j-th entry of the row, so a path's
+heights are its row.  A family stores the tableau and draws its paths from
+the rows.  The bijection preserves weights, and the shape can be read back
+off the endpoints.
 """
 
 from schurpaths import (
@@ -21,7 +23,7 @@ print("tableau rows:", [list(r) for r in t.rows])
 
 family = tableau_to_paths(t, shift=0)
 for i, p in enumerate(family.paths, start=1):
-    print(f"  path {i}: {p.start} -> {p.end}  steps {''.join(p.steps)}")
+    print(f"  path {i}: {p.start} -> {p.end}  heights {list(p.heights)}")
 
 print("weight preserved:", family.weight() == weight(t))
 print("roundtrip recovers the tableau:", paths_to_tableau(family) == t)

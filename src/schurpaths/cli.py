@@ -232,7 +232,6 @@ def _verify_and_emit(identity: Identity, args) -> int:
         method=args.method,
         points=args.points,
         seed=default_seed() if args.seed is None else args.seed,
-        keep_values=args.verbose,
     )
     _emit({"identity": identity.to_json(), "report": report.to_json(verbose=args.verbose)})
     return 0 if report.passed else 1

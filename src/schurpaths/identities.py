@@ -107,8 +107,8 @@ class VerificationReport:
         return self.verdict == "pass"
 
     def to_json(self, verbose: bool = False) -> dict:
-        """Timing is reported only under ``verbose`` so that seeded runs are
-        byte-identical on standard output."""
+        """Timing and the per-point values are reported only under
+        ``verbose``, so that seeded runs are byte-identical on standard output."""
         out = {
             "method": self.method,
             "points": self.points,
@@ -183,7 +183,8 @@ def recolouring_expansion(
     inward = {(p.x, p.top): p.index for p in config.inward_points()}
     missing = s_pts - set(inward)
     if missing:
-        raise ValueError(f"not inward coloured points: {sorted(missing)}")
+        names = ";".join(f"{x},{'N' if top else 1}" for x, top in sorted(missing))
+        raise ValueError(f"not inward coloured points: {names}")
     s_idx = {inward[p] for p in s_pts}
 
     terms: list[ProductTerm] = []
@@ -283,7 +284,6 @@ def verify_identity(
     method: str = "auto",
     points: int = 20,
     seed: int = 42,
-    keep_values: bool = False,
 ) -> VerificationReport:
     """Compare the two sides exactly.
 
@@ -319,8 +319,7 @@ def verify_identity(
         lv = _side(identity.lhs, lambda sh: skew_schur_eval(sh, point), 0)
         rv = _side(identity.rhs, lambda sh: skew_schur_eval(sh, point), 0)
         max_abs = max(max_abs, abs(lv), abs(rv))
-        if keep_values:
-            per_point.append((point, lv, rv))
+        per_point.append((point, lv, rv))
         if lv != rv and witness is None:
             witness = point
             verdict = "fail"

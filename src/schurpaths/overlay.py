@@ -320,7 +320,8 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
     for bp in chosen:
         for pos in bp.endpoint_positions:
             if pos not in ov._coloured:
-                raise ValueError(f"endpoint {pos} is not a coloured point here")
+                x, top = pos
+                raise ValueError(f"endpoint {x},{'N' if top else 1} is not a coloured point here")
             owner = flip_indices.setdefault(ov._coloured[pos].index, bp)
             if owner is not bp:
                 raise ValueError(
@@ -356,16 +357,17 @@ def _assemble_family(out: dict[Point, Arc], start_xs: list[int], end_xs: list[in
     paths = []
     for x in start_xs:
         v: Point = (x, 1)
-        steps: list[str] = []
+        heights: list[int] = []
         while v in out:
             tail, head = out[v]
-            steps.append("R" if head[0] == tail[0] + 1 else "U")
+            if head[1] == tail[1]:
+                heights.append(tail[1])
             v = head
         if v[1] != top or v[0] not in end_xs:
             raise AssertionError(f"walk from ({x}, 1) ends at {v}, not an end point")
-        paths.append(LatticePath((x, 1), tuple(steps)))
+        paths.append(LatticePath((x, 1), tuple(heights), top))
     fam = family_from_paths(paths, top)
-    if [p.end[0] for p in fam.paths] != end_xs:
+    if list(fam.end_xs()) != end_xs:
         raise AssertionError("assembled family misses an end point")
     return fam
 

@@ -1,19 +1,22 @@
 """The translation between tableaux and tuples of nonintersecting lattice paths.
 
 Paths live in the directed lattice with arcs one step right or one step up.
-Path ``i`` of a family for shape ``outer/inner`` at shift ``t`` runs from
-``(inner_i - i + t, 1)`` to ``(outer_i - i + t, N)``; the height of its
-``j``-th horizontal step is the ``j``-th entry of row ``i`` of the tableau.
-Paths are counted from the right, so path 1 is the rightmost.
+A family stores its tableau, its shift and its number of rows; the paths are
+drawn from the tableau's rows.  Path ``i`` of a family for shape
+``outer/inner`` at shift ``t`` runs from ``(inner_i - i + t, 1)`` to
+``(outer_i - i + t, N)``, and its ``heights``, the levels of its horizontal
+steps in order, are row ``i`` of the tableau.  Paths are counted from the
+right, so path 1 is the rightmost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .partitions import PointSet, SkewShape, canonical_shape, to_points
-from .tableaux import Tableau, validate_tableau
+from .tableaux import Tableau, validate_tableau, weight
 
 Point = tuple[int, int]
 Arc = tuple[Point, Point]
@@ -21,42 +24,34 @@ Arc = tuple[Point, Point]
 
 @dataclass(frozen=True)
 class LatticePath:
-    start: Point
-    steps: tuple[str, ...]
+    """The path from ``start`` up to level ``top`` whose horizontal steps lie
+    at the weakly increasing levels ``heights``."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start", (int(self.start[0]), int(self.start[1])))
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if any(s not in ("R", "U") for s in self.steps):
-            raise ValueError(f"steps must be 'R' or 'U': {self.steps}")
+    start: Point
+    heights: tuple[int, ...]
+    top: int
 
     @property
     def end(self) -> Point:
-        x, y = self.start
-        return (x + self.steps.count("R"), y + self.steps.count("U"))
+        return (self.start[0] + len(self.heights), self.top)
 
     def points(self) -> list[Point]:
         x, y = self.start
         pts = [(x, y)]
-        for s in self.steps:
-            x, y = (x + 1, y) if s == "R" else (x, y + 1)
+        for h in self.heights:
+            while y < h:
+                y += 1
+                pts.append((x, y))
+            x += 1
+            pts.append((x, y))
+        while y < self.top:
+            y += 1
             pts.append((x, y))
         return pts
 
     def arcs(self) -> list[Arc]:
         pts = self.points()
         return list(zip(pts, pts[1:]))
-
-    def horizontal_heights(self) -> list[int]:
-        """Heights of the horizontal steps, in traversal order."""
-        y = self.start[1]
-        heights = []
-        for s in self.steps:
-            if s == "R":
-                heights.append(y)
-            else:
-                y += 1
-        return heights
 
 
 def is_nonintersecting(paths: Sequence[LatticePath]) -> bool:
@@ -72,47 +67,39 @@ def is_nonintersecting(paths: Sequence[LatticePath]) -> bool:
 
 @dataclass(frozen=True)
 class PathFamily:
-    """A nonintersecting tuple of paths for a skew shape at a fixed shift.
+    """The nonintersecting paths of a tableau at a fixed shift.
 
-    There may be more paths than positive parts of the outer partition; the
-    surplus paths belong to empty rows and are all-vertical.
+    ``rows`` may exceed the shape's rows; the surplus paths belong to empty
+    rows and are all-vertical.
     """
 
-    paths: tuple[LatticePath, ...]
-    shape: SkewShape
+    tableau: Tableau
     shift: int
-    alphabet: int
+    rows: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "paths", tuple(self.paths))
-        n = self.alphabet
-        if n < 1:
-            raise ValueError(f"alphabet must be positive: {n}")
-        if len(self.paths) < self.shape.rows:
-            raise ValueError(
-                f"need at least {self.shape.rows} paths, got {len(self.paths)}"
-            )
-        for i, path in enumerate(self.paths, start=1):
-            want_start = (self.shape.inner.part(i) - i + self.shift, 1)
-            want_end = (self.shape.outer.part(i) - i + self.shift, n)
-            if path.start != want_start or path.end != want_end:
-                raise ValueError(
-                    f"path {i} runs {path.start}->{path.end}, expected {want_start}->{want_end}"
-                )
-        if not is_nonintersecting(self.paths):
-            raise ValueError("paths share a lattice point")
+        if self.tableau.alphabet < 1:
+            raise ValueError(f"alphabet must be positive: {self.tableau.alphabet}")
+        if self.rows < self.tableau.shape.rows:
+            raise ValueError(f"rows {self.rows} below the shape's {self.tableau.shape.rows}")
 
     @property
-    def rows(self) -> int:
-        return len(self.paths)
+    def shape(self) -> SkewShape:
+        return self.tableau.shape
+
+    @property
+    def alphabet(self) -> int:
+        return self.tableau.alphabet
+
+    @cached_property
+    def paths(self) -> tuple[LatticePath, ...]:
+        xs = self.start_xs()
+        rows = self.tableau.rows + ((),) * (len(xs) - self.shape.rows)
+        n = self.alphabet
+        return tuple(LatticePath((x, 1), r, n) for x, r in zip(xs, rows))
 
     def weight(self) -> tuple[int, ...]:
-        """Exponent vector counting horizontal steps at each height."""
-        exps = [0] * self.alphabet
-        for p in self.paths:
-            for h in p.horizontal_heights():
-                exps[h - 1] += 1
-        return tuple(exps)
+        return weight(self.tableau)
 
     def arcs(self) -> set[Arc]:
         out: set[Arc] = set()
@@ -121,17 +108,17 @@ class PathFamily:
         return out
 
     def start_xs(self) -> tuple[int, ...]:
-        return tuple(p.start[0] for p in self.paths)
+        return to_points(self.shape.inner, self.rows, self.shift).values
 
     def end_xs(self) -> tuple[int, ...]:
-        return tuple(p.end[0] for p in self.paths)
+        return to_points(self.shape.outer, self.rows, self.shift).values
 
     def to_json(self) -> dict:
         out = {
             "shape": self.shape.to_json(),
             "shift": self.shift,
             "N": self.alphabet,
-            "tableau": [list(r) for r in paths_to_tableau(self).rows],
+            "tableau": [list(r) for r in self.tableau.rows],
         }
         if self.rows != self.shape.rows:
             out["rows"] = self.rows
@@ -141,35 +128,26 @@ class PathFamily:
     def from_json(cls, obj: dict) -> "PathFamily":
         shape = SkewShape.from_json(obj["shape"])
         t = validate_tableau(shape, obj["tableau"], obj["N"])
+        for key in ("N", "shift"):
+            if isinstance(obj[key], float):
+                raise ValueError(f"{key} must be an integer: {obj[key]}")
         return tableau_to_paths(t, obj["shift"], rows=obj.get("rows"))
 
 
 def tableau_to_paths(t: Tableau, shift: int = 0, rows: int | None = None) -> PathFamily:
-    """Encode each tableau row as a path; weight preserving by construction.
+    """The family of ``t`` at ``shift``; weight preserving by construction.
 
     ``rows`` beyond the shape's rows add all-vertical paths for empty rows.
     """
-    if rows is None:
-        rows = t.shape.rows
-    if rows < t.shape.rows:
-        raise ValueError(f"rows {rows} below the shape's {t.shape.rows}")
-    paths = []
-    for i in range(1, rows + 1):
-        x = t.shape.inner.part(i) - i + shift
-        y = 1
-        steps: list[str] = []
-        for h in t.rows[i - 1] if i <= t.shape.rows else ():
-            steps.extend("U" * (h - y))
-            steps.append("R")
-            y = h
-        steps.extend("U" * (t.alphabet - y))
-        paths.append(LatticePath((x, 1), tuple(steps)))
-    return PathFamily(tuple(paths), t.shape, shift, t.alphabet)
+    return PathFamily(t, shift, t.shape.rows if rows is None else rows)
 
 
 def paths_to_tableau(pf: PathFamily) -> Tableau:
-    """Read entries off the horizontal step heights; inverse of the above."""
-    rows = tuple(tuple(p.horizontal_heights()) for p in pf.paths[: pf.shape.rows])
+    """Read the entries off the levels of the drawn horizontal arcs; inverse of the above."""
+    rows = [
+        [tail[1] for tail, head in p.arcs() if tail[1] == head[1]]
+        for p in pf.paths[: pf.shape.rows]
+    ]
     return validate_tableau(pf.shape, rows, pf.alphabet)
 
 
@@ -177,16 +155,24 @@ def family_from_paths(paths: Iterable[LatticePath], alphabet: int) -> PathFamily
     """Build a family from bare paths, deriving the shape and shift.
 
     The shift is chosen maximal subject to all parts being nonnegative, which
-    makes the smallest decoded part zero.  Raises ValueError when the
-    endpoints fit no skew shape.
+    makes the smallest decoded part zero.  Raises ValueError when a path does
+    not run up from level 1 to level ``alphabet``, when the endpoints fit no
+    skew shape, or when two paths meet.
     """
     ordered = sorted(paths, key=lambda p: p.start[0], reverse=True)
+    for p in ordered:
+        levels = (1, *p.heights, alphabet)
+        if p.start[1] != 1 or p.top != alphabet or any(a > b for a, b in zip(levels, levels[1:])):
+            raise ValueError(f"path from {p.start} does not run up from level 1 to level {alphabet}")
     starts = [p.start[0] for p in ordered]
     ends = [p.end[0] for p in ordered]
     if any(a <= b for a, b in zip(ends, ends[1:])):
         raise ValueError("end points out of order for start point order")
     shape, shift = canonical_shape(starts, ends)
-    return PathFamily(tuple(ordered), shape, shift, alphabet)
+    if not is_nonintersecting(ordered):
+        raise ValueError("paths share a lattice point")
+    t = Tableau(shape, tuple(p.heights for p in ordered[: shape.rows]), alphabet)
+    return PathFamily(t, shift, len(ordered))
 
 
 def endpoints(shape: SkewShape, rows: int, shift: int) -> tuple[PointSet, PointSet]:

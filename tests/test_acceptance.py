@@ -218,6 +218,8 @@ def test_criterion_5_involution_suite():
         ov3 = recolour(ov2, paths2)
         assert ov3.white == family_from_paths(ov.white.paths, n)
         assert ov3.black == family_from_paths(ov.black.paths, n)
+        for fam in (ov2.white, ov2.black, ov3.white, ov3.black):
+            assert paths_to_tableau(fam) == fam.tableau
         overlays += 1
     elapsed = time.perf_counter() - t0
     _verdict(5, "involution suite", overlays >= 1000, f"{overlays} overlays, {elapsed:.1f}s")

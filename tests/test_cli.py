@@ -423,7 +423,7 @@ REFUSALS = {
     ),
     "s-not-inward": (
         ["identity-theorem", "--white", BIG_WHITE, "--black", BIG_BLACK, "--s", "13,N"],
-        "error: not inward coloured points: [(13, True)]",
+        "error: not inward coloured points: 13,N",
     ),
     "start-not-coloured": (
         ["recolour", "--overlay", "{overlay}", "--start", "100,N"],

@@ -137,7 +137,7 @@ class TestTrace:
         ov = Overlay(white, black)
         bp = trace_bicoloured(ov, 0, 3)
         assert (bp.end.x, bp.end.top) == (-1, False)
-        assert len(bp.arcs) == len(white.paths[0].steps)
+        assert len(bp.arcs) == len(white.paths[0].arcs())
 
     def test_reverse_trace_returns(self):
         ov = demo_overlay_small()
@@ -257,7 +257,7 @@ class TestRecolour:
             _single((1,), (), [1], 8, shift=0), _single((1,), (), [2], 8, shift=5)
         )
         foreign = all_bicoloured(other)[0]
-        with pytest.raises(ValueError, match=r"endpoint \(4, False\) is not a coloured point here"):
+        with pytest.raises(ValueError, match=r"endpoint 4,1 is not a coloured point here"):
             recolour(ov, foreign)
 
 

@@ -22,14 +22,15 @@ FIG_SHAPE = SkewShape(Partition((7, 4, 4, 3, 1, 1, 1)), Partition((3, 2, 2, 1)))
 
 class TestLatticePath:
     def test_end_and_points(self):
-        p = LatticePath((0, 1), ("R", "U", "R"))
+        p = LatticePath((0, 1), (1, 2), 2)
         assert p.end == (2, 2)
         assert p.points() == [(0, 1), (1, 1), (1, 2), (2, 2)]
-        assert p.horizontal_heights() == [1, 2]
+        assert paths_to_tableau(family_from_paths([p], 2)).rows == ((1, 2),)
 
     def test_bad_step(self):
-        with pytest.raises(ValueError, match=r"steps must be 'R' or 'U'"):
-            LatticePath((0, 1), ("X",))
+        # heights that go down would need a step to the left or down
+        with pytest.raises(ValueError, match=r"path from \(0, 1\) does not run up from level 1 to level 3"):
+            family_from_paths([LatticePath((0, 1), (2, 1), 3)], 3)
 
 
 class TestTableauToPaths:
@@ -51,7 +52,8 @@ class TestTableauToPaths:
             fam = tableau_to_paths(t, 0)
             path = fam.paths[0]
             assert path.start == (-1, 1) and path.end == (0, 3)
-            assert path.horizontal_heights() == [k]
+            assert path.heights == (k,)
+            assert paths_to_tableau(fam).rows == ((k,),)
             exps = [0, 0, 0]
             exps[k - 1] = 1
             assert fam.weight() == tuple(exps)
@@ -62,13 +64,18 @@ class TestBijection:
         for shape in shapes_up_to(4):
             for n in range(1, 4):
                 for t in enumerate_ssyt(shape, n):
-                    fam = tableau_to_paths(t, shift=1)
-                    assert paths_to_tableau(fam) == t
-                    assert fam.weight() == weight(t)
+                    for shift in (1, -2):
+                        fam = tableau_to_paths(t, shift)
+                        assert paths_to_tableau(fam) == fam.tableau == t
+                        assert fam.weight() == weight(t)
+                        canon = family_from_paths(fam.paths, n)
+                        assert [p.heights for p in canon.paths] == [p.heights for p in fam.paths]
 
     def test_single_path_inverse(self):
-        path = LatticePath((-1, 1), ("U", "R", "U"))
-        fam = PathFamily((path,), SkewShape(Partition((1,))), 0, 3)
+        t = validate_tableau(SkewShape(Partition((1,))), [[2]], 3)
+        fam = PathFamily(t, 0, 1)
+        assert fam.paths == (LatticePath((-1, 1), (2,), 3),)
+        assert fam.paths[0].points() == [(-1, 1), (-1, 2), (0, 2), (0, 3)]
         assert paths_to_tableau(fam).rows == ((2,),)
 
     def test_shift_independence(self):
@@ -77,7 +84,7 @@ class TestBijection:
         f5 = tableau_to_paths(t, 5)
         assert paths_to_tableau(f0) == paths_to_tableau(f5)
         for a, b in zip(f0.paths, f5.paths):
-            assert a.steps == b.steps
+            assert a.heights == b.heights
             assert b.start[0] - a.start[0] == 5
 
     def test_weight_preserved_on_figure_shape(self):
@@ -108,13 +115,13 @@ class TestEndpoints:
 
 class TestNonintersecting:
     def test_disjoint_columns(self):
-        a = LatticePath((0, 1), ("U",))
-        b = LatticePath((1, 1), ("U",))
+        a = LatticePath((0, 1), (), 2)
+        b = LatticePath((1, 1), (), 2)
         assert is_nonintersecting([a, b])
 
     def test_shared_point(self):
-        a = LatticePath((0, 1), ("U",))
-        b = LatticePath((-1, 1), ("R", "U"))
+        a = LatticePath((0, 1), (), 2)
+        b = LatticePath((-1, 1), (1,), 2)
         assert not is_nonintersecting([a, b])
 
     def test_families_always_nonintersecting(self, sampler):
@@ -137,18 +144,26 @@ class TestFamilyFromPaths:
 
     def test_trailing_empty_rows(self):
         paths = (
-            LatticePath((0, 1), ("R", "U")),
-            LatticePath((-2, 1), ("U",)),
+            LatticePath((0, 1), (1,), 2),
+            LatticePath((-2, 1), (), 2),
         )
         fam = family_from_paths(paths, 2)
         assert fam.rows == 2
         assert fam.shape == SkewShape(Partition((2,)), Partition((1,)))
         assert fam.shift == 0
 
+    @pytest.mark.parametrize(
+        "path", [LatticePath((0, 2), (), 3), LatticePath((0, 1), (1,), 2)],
+        ids=["starts-above-level-1", "top-not-N"],
+    )
+    def test_path_off_the_levels(self, path):
+        with pytest.raises(ValueError, match=r"does not run up from level 1 to level 3"):
+            family_from_paths([LatticePath((3, 1), (2,), 3), path], 3)
+
     def test_malformed(self):
         paths = (
-            LatticePath((0, 1), ("U",)),
-            LatticePath((-1, 1), ("R", "R", "U")),
+            LatticePath((0, 1), (), 2),
+            LatticePath((-1, 1), (1, 1), 2),
         )
         with pytest.raises(ValueError, match=r"end points out of order for start point order"):
             family_from_paths(paths, 2)
@@ -165,3 +180,10 @@ class TestJson:
         fam = tableau_to_paths(t, 0, rows=3)
         assert fam.rows == 3
         assert PathFamily.from_json(fam.to_json()) == fam
+
+    @pytest.mark.parametrize("key", ["N", "shift"])
+    def test_float_refused(self, key):
+        obj = tableau_to_paths(first_tableau(FIG_SHAPE, 8), 2).to_json()
+        obj[key] = 8.5
+        with pytest.raises(ValueError, match=rf"{key} must be an integer: 8.5"):
+            PathFamily.from_json(obj)

@@ -10,6 +10,7 @@ from schurpaths import (
     render_configuration,
     render_ferrers,
     render_overlay,
+    validate_tableau,
 )
 from schurpaths.gallery import demo_overlay_small
 from schurpaths.paths import PathFamily
@@ -34,7 +35,7 @@ class TestOverlaySvg:
         assert path_count == grid + len(ov.white.paths) + len(ov.black.paths) + 2
 
     def test_empty_overlay_axes_only(self):
-        empty = PathFamily((), SkewShape(Partition()), 0, 3)
+        empty = PathFamily(validate_tableau(SkewShape(Partition()), [], 3), 0, 0)
         svg = render_overlay(Overlay(empty, empty))
         root, tags = _tags(svg)
         assert tags.count("path") == 3  # one grid line per level

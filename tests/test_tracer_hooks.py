@@ -31,11 +31,13 @@ assert rc == 0, rc
 from schurpaths.gallery import demo_overlay_small
 paths, _ = prog.overlay.all_bicoloured(demo_overlay_small())
 prog.overlay.recolour(demo_overlay_small(), paths)
+prog.paths.PathFamily.from_json(demo_overlay_small().white.to_json())
 shape = prog.cli.parse_shape
 prog.identities.recolouring_expansion(shape("1/"), shape("2/"), {(0, "N")})
 for name in ("cli.main", "identities.verify_identity", "schur.skew_schur",
              "schur.Polynomial.mul", "overlay.trace_bicoloured", "paths.family_from_paths",
-             "identities.recolouring_expansion", "partitions", "overlay.Overlay.init"):
+             "identities.recolouring_expansion", "partitions", "overlay.Overlay.init",
+             "paths.tableau_to_paths", "paths.PathFamily.from_json"):
     assert tracer.counts[name + ".calls"] > 0, name
 """
 
