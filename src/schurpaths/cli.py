@@ -2,14 +2,16 @@
 
 Subcommands: compute, endpoints, recolour, identity-theorem, identity-gps,
 render, selftest.  All reports are JSON on standard output.  Exit status is
-0 on success or a passing verdict, 1 on a failing verdict, 2 on usage errors
-and on internal invariant failures (reported as ``error: internal: ...``).
+0 on success or a passing verdict, 1 on a failing verdict, 2 on usage errors,
+on a standard output closed by its reader, and on internal invariant
+failures (reported as ``error: internal: ...``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import lru_cache
@@ -148,9 +150,14 @@ def _load_overlay(path: str) -> Overlay:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        return Overlay(
-            PathFamily.from_json(obj["white"]), PathFamily.from_json(obj["black"])
-        )
+        families = []
+        for colour in ("white", "black"):
+            family = obj[colour]
+            try:
+                families.append(PathFamily.from_json(family))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{colour}: {exc}") from exc
+        return Overlay(*families)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"--overlay: cannot load {path!r}: {exc}") from exc
 
@@ -169,6 +176,8 @@ def _overlay_json(ov: Overlay) -> dict:
 def cmd_compute(args) -> int:
     shape = parse_shape(args.shape)
     if args.method == "enum":
+        if args.point is not None:
+            raise ValueError("--point is only read with --method eval")
         poly = skew_schur(shape, args.vars)
         _emit({"shape": shape.to_json(), "N": args.vars, "polynomial": poly})
         return 0
@@ -365,7 +374,14 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_negative_lists(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output; pointing it at the null device
+        # keeps the interpreter's own flush at exit from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

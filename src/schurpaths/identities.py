@@ -244,12 +244,9 @@ def strips_match_recolouring(
     with S the point of the first row.
     """
     lam = Partition(lam)
-    mu = Partition(mu)
     ident = border_strip_identity(lam, mu, strips)
-    sigma = peel_complete(build_nu(lam, strips))
     terms = recolouring_expansion(
-        SkewShape(lam, mu),
-        SkewShape(sigma, mu),
+        *ident.lhs[0].shapes(),
         s={(lam.part(1) - 1, "N")},
         shifts=(0, 0),
         rows=(len(lam), len(lam) - 1),
@@ -310,20 +307,15 @@ def verify_identity(
     if points < 1:
         raise ValueError(f"multipoint verification needs at least one point, got {points}")
     rng = random.Random(seed)
-    max_abs = 0
-    witness = None
     per_point = []
-    verdict = "pass"
     for _ in range(points):
         point = tuple(rng.randint(0, 4) for _ in range(n))
         lv = _side(identity.lhs, lambda sh: skew_schur_eval(sh, point), 0)
         rv = _side(identity.rhs, lambda sh: skew_schur_eval(sh, point), 0)
-        max_abs = max(max_abs, abs(lv), abs(rv))
         per_point.append((point, lv, rv))
-        if lv != rv and witness is None:
-            witness = point
-            verdict = "fail"
+    witness = next((p for p, lv, rv in per_point if lv != rv), None)
+    max_abs = max(abs(v) for _, lv, rv in per_point for v in (lv, rv))
     return VerificationReport(
-        "multipoint", points, seed, verdict, witness, max_abs,
+        "multipoint", points, seed, "pass" if witness is None else "fail", witness, max_abs,
         time.perf_counter() - t0, tuple(per_point),
     )

@@ -3,9 +3,10 @@
 A partition with at most ``rows`` parts and an integer ``shift`` is encoded
 by the strictly decreasing point set ``{part(i) - i + shift : 1 <= i <= rows}``
 (parts padded with zeros).  Every border strip operation in this module is
-defined as an insertion/removal of boundary points followed by rereading the
-point set as a partition; the familiar row-wise descriptions are consequences
-and are checked as properties in the test suite.
+one edit of the tuple of boundary points, removing one point and perhaps
+inserting another, reread as a partition by ``_reread``; the familiar
+row-wise descriptions are consequences and are checked as properties in the
+test suite.
 """
 
 from __future__ import annotations
@@ -66,16 +67,6 @@ class PointSet:
     @property
     def rows(self) -> int:
         return len(self.values)
-
-    def with_removed(self, value: int) -> "PointSet":
-        if value not in self.values:
-            raise ValueError(f"point {value} not present")
-        return PointSet(tuple(v for v in self.values if v != value), self.shift)
-
-    def with_added(self, value: int) -> "PointSet":
-        if value in self.values:
-            raise ValueError(f"point {value} already present")
-        return PointSet(tuple(sorted(self.values + (value,), reverse=True)), self.shift)
 
     def partition(self) -> Partition:
         """Reread the point set as a partition; inverse of :func:`to_points`."""
@@ -186,13 +177,20 @@ class StripSpec:
     span: int
 
 
+def _reread(points: Iterable[int]) -> Partition:
+    """The partition of the shift-0 points ``points``, taken in any order.
+
+    A point given twice is refused by the strict decrease of ``PointSet``.
+    """
+    return PointSet(tuple(sorted(points, reverse=True))).partition()
+
+
 def peel_complete(p: Partition) -> Partition:
     """Remove the full border strip, dropping the largest boundary point."""
     p = Partition(p)
     if not p:
         raise ValueError("cannot peel the empty partition")
-    ps = to_points(p, len(p))
-    return ps.with_removed(ps.values[0]).partition()
+    return _reread(to_points(p, len(p)).values[1:])
 
 
 def peel_down(p: Partition, i: int) -> Partition:
@@ -203,8 +201,8 @@ def peel_down(p: Partition, i: int) -> Partition:
     p = Partition(p)
     if not 1 <= i <= len(p):
         raise ValueError(f"row {i} outside 1..{len(p)}")
-    ps = to_points(p, len(p))
-    return ps.with_removed(ps.values[i - 1]).partition()
+    pts = to_points(p, len(p)).values
+    return _reread(pts[: i - 1] + pts[i:])
 
 
 def peel_up(p: Partition, i: int, t: int) -> Partition:
@@ -221,8 +219,8 @@ def peel_up(p: Partition, i: int, t: int) -> Partition:
         raise ValueError(
             f"box {t} outside 1..{p.part(i) - p.part(i + 1)} for row {i}"
         )
-    ps = to_points(p, len(p))
-    return ps.with_removed(ps.values[0]).with_added(p.part(i + 1) - (i + 1) + t).partition()
+    # the new point lies strictly between the points of rows i + 1 and i
+    return _reread(to_points(p, len(p)).values[1:] + (p.part(i + 1) - (i + 1) + t,))
 
 
 def add_strip(p: Partition, s: StripSpec) -> Partition:
@@ -242,10 +240,9 @@ def add_strip(p: Partition, s: StripSpec) -> Partition:
         raise ValueError(
             f"boxes {t} exceeds {p.part(r - 1)} - {p.part(r)} available in row {r}"
         )
-    ps = to_points(p, len(p))
-    ins = p.part(r) - r + t
-    rem = p.part(r + m - 1) - (r + m - 1)
-    return ps.with_added(ins).with_removed(rem).partition()
+    pts = to_points(p, len(p)).values
+    # the new point lies strictly between the points of rows r and r - 1
+    return _reread(pts[: r + m - 2] + pts[r + m - 1 :] + (p.part(r) - r + t,))
 
 
 def build_nu(p: Partition, strips: Sequence[StripSpec]) -> Partition:

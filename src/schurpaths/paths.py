@@ -11,6 +11,7 @@ right, so path 1 is the rightmost.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -126,12 +127,27 @@ class PathFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PathFamily":
-        shape = SkewShape.from_json(obj["shape"])
-        t = validate_tableau(shape, obj["tableau"], obj["N"])
-        for key in ("N", "shift"):
-            if isinstance(obj[key], float):
-                raise ValueError(f"{key} must be an integer: {obj[key]}")
+        """The family of ``to_json``; every number in it must be a JSON integer,
+        since the constructors would truncate a float and parse a string."""
+        _integer(obj["N"], "N")
+        _integer(obj["shift"], "shift")
+        if "rows" in obj:
+            _integer(obj["rows"], "rows")
+        raw = obj["shape"]
+        for key, parts in (("outer", raw["outer"]), ("inner", raw.get("inner", ()))):
+            for j, v in enumerate(parts):
+                _integer(v, f"shape.{key}[{j}]")
+        for i, row in enumerate(obj["tableau"]):
+            for j, v in enumerate(row):
+                _integer(v, f"tableau[{i}][{j}]")
+        t = validate_tableau(SkewShape.from_json(raw), obj["tableau"], obj["N"])
         return tableau_to_paths(t, obj["shift"], rows=obj.get("rows"))
+
+
+def _integer(value, field: str) -> None:
+    """Refuse ``value`` unless it is an int: a bool, a float or a string is not."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer: {json.dumps(value)}")
 
 
 def tableau_to_paths(t: Tableau, shift: int = 0, rows: int | None = None) -> PathFamily:

@@ -19,7 +19,7 @@ boundary: the constructor, ``terms``, ``sorted_terms``, ``leading_exponent``,
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import product
 from typing import Sequence
@@ -215,12 +215,7 @@ class _Terms(Mapping):
         return self._poly._terms.values()
 
     def items(self):
-        return _TermItems(self)
-
-
-class _TermItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping.values())
+        return zip(self, self.values())
 
 
 @lru_cache(maxsize=None)

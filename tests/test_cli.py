@@ -1,6 +1,10 @@
 import hashlib
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -357,14 +361,48 @@ class TestRecolourAndRender:
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
-# Structurally wrong overlay files: JSON that parses but is no overlay.
+def _white(**fields):
+    """A maker whose white family has ``fields`` replaced."""
+    return lambda w, b: {"white": dict(w, **fields), "black": b}
+
+
+def _white_shape(**parts):
+    return lambda w, b: {"white": dict(w, shape=dict(w["shape"], **parts)), "black": b}
+
+
+def _first_entry(value):
+    def make(w, b):
+        first, *rest = w["tableau"]
+        return {"white": dict(w, tableau=[[value, *first[1:]], *rest]), "black": b}
+
+    return make
+
+
+# Overlay files that parse as JSON but are no overlay, each with the stderr
+# after "error: --overlay: cannot load <path>: ".  The demo families have
+# shape 7,4,4,3,1,1,1/3,2,2,1, and the white tableau's first row is 3,4,7,7.
 MALFORMED_OVERLAYS = {
-    "top-level-list": lambda w, b: [1, 2],
-    "family-int": lambda w, b: {"white": 5, "black": b},
-    "shift-str": lambda w, b: {"white": dict(w, shift="a"), "black": b},
-    "outer-int": lambda w, b: {"white": dict(w, shape=dict(w["shape"], outer=1)), "black": b},
-    "tableau-row-int": lambda w, b: {"white": dict(w, tableau=[3] + w["tableau"][1:]), "black": b},
-    "rows-str": lambda w, b: {"white": dict(w, rows="x"), "black": b},
+    "top-level-list": (lambda w, b: [1, 2], "list indices must be integers or slices, not str"),
+    "family-int": (lambda w, b: {"white": 5, "black": b},
+                   "white: 'int' object is not subscriptable"),
+    "shift-str": (_white(shift="a"), 'white: shift must be an integer: "a"'),
+    "outer-int": (_white_shape(outer=1), "white: 'int' object is not iterable"),
+    "tableau-row-int": (lambda w, b: {"white": dict(w, tableau=[3] + w["tableau"][1:]), "black": b},
+                        "white: 'int' object is not iterable"),
+    "rows-str": (_white(rows="x"), 'white: rows must be an integer: "x"'),
+    # numbers the constructors used to truncate or parse
+    "outer-float": (_white_shape(outer=[7.9, 4, 4, 3, 1, 1, 1]),
+                    "white: shape.outer[0] must be an integer: 7.9"),
+    "outer-str": (_white_shape(outer=["7", 4, 4, 3, 1, 1, 1]),
+                  'white: shape.outer[0] must be an integer: "7"'),
+    "entry-float": (_first_entry(3.5), "white: tableau[0][0] must be an integer: 3.5"),
+    "entry-str": (_first_entry("3"), 'white: tableau[0][0] must be an integer: "3"'),
+    "shift-bool": (_white(shift=True), "white: shift must be an integer: true"),
+    "N-str": (_white(N="8"), 'white: N must be an integer: "8"'),
+    "rows-float": (_white(rows=7.0), "white: rows must be an integer: 7.0"),
+    "black-inner-float": (lambda w, b: {"white": w, "black": dict(
+        b, shape=dict(b["shape"], inner=[3, 2, 2.0, 1]))},
+        "black: shape.inner[2] must be an integer: 2.0"),
 }
 
 
@@ -372,14 +410,13 @@ class TestMalformedOverlay:
     @pytest.mark.parametrize(
         "command", [["recolour", "--all"], ["render"]], ids=["recolour", "render"]
     )
-    @pytest.mark.parametrize("make", MALFORMED_OVERLAYS.values(), ids=MALFORMED_OVERLAYS.keys())
-    def test_usage_error_without_traceback(self, capsys, tmp_path, command, make):
+    @pytest.mark.parametrize("make, err", MALFORMED_OVERLAYS.values(), ids=MALFORMED_OVERLAYS.keys())
+    def test_usage_error_without_traceback(self, capsys, tmp_path, command, make, err):
         path = write_overlay(tmp_path, "malformed", make)
         code = main([command[0], "--overlay", path, *command[1:]])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith(f"error: --overlay: cannot load {path!r}: ")
-        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.err == f"error: --overlay: cannot load {path!r}: {err}\n"
 
 
 def _row_decreases(w, b):
@@ -433,13 +470,17 @@ REFUSALS = {
         ["recolour", "--overlay", "{overlay}", "--start", "7,N;6,N"],
         "error: start points 7,N and 6,N trace the same path",
     ),
+    "point-without-eval": (
+        ["compute", "--shape", "2,1/", "--vars", "2", "--point", "1,2"],
+        "error: --point is only read with --method eval",
+    ),
     "point-length": (
         ["compute", "--shape", "2,1/", "--vars", "2", "--method", "eval", "--point", "1"],
         "error: --point needs 2 values, got 1",
     ),
     "overlay-cell-violation": (
         ["render", "--overlay", "{cell}"],
-        "error: --overlay: cannot load {cell!r}: row 0 decreases at column 4",
+        "error: --overlay: cannot load {cell!r}: white: row 0 decreases at column 4",
     ),
 }
 
@@ -452,6 +493,25 @@ class TestRefusals:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == err.format(**files) + "\n"
+
+
+class TestClosedStdout:
+    def test_exit_two_without_traceback(self):
+        # 901 KB of output, far more than a pipe buffers, so the write after
+        # the reader has gone fails whatever the timing
+        argv = ["compute", "--shape", "7,4,4,3,1,1,1/3,2,2,1", "--vars", "6"]
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "schurpaths.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestSelftest:

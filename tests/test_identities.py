@@ -261,6 +261,23 @@ class TestVerify:
         assert len(a.per_point) == 5 and a.per_point == b.per_point
         assert "perPoint" not in a.to_json() and len(a.to_json(verbose=True)["perPoint"]) == 5
 
+    @pytest.mark.parametrize(
+        "ident, seeds",
+        [
+            (Identity((ProductTerm(SkewShape(Partition((1,) * 11)), SkewShape(P(1))),), (), 11),
+             range(30)),
+            (border_strip_identity(LAM, MU, STRIPS, alphabet=11), range(1, 6)),
+        ],
+        ids=["false-identity", "strip-identity"],
+    )
+    def test_multipoint_report_follows_per_point(self, ident, seeds):
+        for seed in seeds:
+            report = verify_identity(ident, method="multipoint", points=20, seed=seed)
+            unequal = [p for p, lv, rv in report.per_point if lv != rv]
+            assert report.witness == (unequal[0] if unequal else None)
+            assert report.max_abs == max(abs(v) for _, *values in report.per_point for v in values)
+            assert (report.verdict == "fail") == (report.witness is not None)
+
     def test_negative_control_drops_term(self):
         ident = border_strip_identity(LAM, MU, STRIPS, alphabet=11)
         for drop in range(len(ident.rhs)):

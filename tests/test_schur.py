@@ -64,6 +64,13 @@ class TestPolynomial:
         p = Polynomial(1, {(2**40,): 1})
         assert (p * p).terms == {(2**41,): 1}
 
+    def test_items_match_terms_and_sorted_terms(self):
+        for shape in shapes_up_to(4):
+            for n in (1, 2, 3):
+                poly = skew_schur(shape, n)
+                assert dict(poly.terms.items()) == poly.terms
+                assert sorted(poly.terms.items()) == sorted(poly.sorted_terms())
+
     def test_equal_and_hash_equal_across_constructions(self):
         poly = skew_schur(SkewShape(P(3, 1), P(1)), 3)
         from_tuples = Polynomial(3, dict(poly.terms.items()))

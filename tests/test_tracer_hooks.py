@@ -28,6 +28,8 @@ tracer.enabled = True
 argv = ["identity-gps", "--lambda", "3,1", "--strips", "1:(2,1)", "--method", "full"]
 rc, _ = prog.cli_run(argv)
 assert rc == 0, rc
+rc, _ = prog.cli_run(argv[:-1] + ["multipoint", "--points", "2"])
+assert rc == 0, rc
 from schurpaths.gallery import demo_overlay_small
 paths, _ = prog.overlay.all_bicoloured(demo_overlay_small())
 prog.overlay.recolour(demo_overlay_small(), paths)
@@ -37,7 +39,9 @@ prog.identities.recolouring_expansion(shape("1/"), shape("2/"), {(0, "N")})
 for name in ("cli.main", "identities.verify_identity", "schur.skew_schur",
              "schur.Polynomial.mul", "overlay.trace_bicoloured", "paths.family_from_paths",
              "identities.recolouring_expansion", "partitions", "overlay.Overlay.init",
-             "paths.tableau_to_paths", "paths.PathFamily.from_json"):
+             "paths.tableau_to_paths", "paths.PathFamily.from_json", "schur.skew_schur_eval",
+             "schur.complete_homogeneous_values", "schur.bareiss_determinant",
+             "overlay.all_bicoloured", "overlay.recolour"):
     assert tracer.counts[name + ".calls"] > 0, name
 """
 
