@@ -15,7 +15,6 @@ import os
 import re
 import sys
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 
 from .identities import (
     Identity,
@@ -90,75 +89,39 @@ def parse_values(text: str) -> tuple[int, ...]:
 
 
 def _emit(payload: dict) -> None:
-    """Print ``payload`` as ``json.dumps(payload, indent=2)`` would, byte for byte.
-
-    CPython encodes with an indent in pure Python, and that dominated the
-    time of large ``compute`` runs, so the layout is written here.  A
-    ``Polynomial`` in the payload is printed as its ``to_json()`` would be.
-    Dict keys must be strings.  The test suite compares the two texts on the
-    payload of every command.
-    """
-    print(_dumps(payload, "\n"))
+    """Print ``payload`` as ``json.dumps(payload, indent=2)``."""
+    print(json.dumps(payload, indent=2))
 
 
-def _dumps(obj, pad: str) -> str:
-    """The ``indent=2`` text of ``obj``; ``pad`` is the newline and indent of
-    the line it starts on."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in obj.items()]
-        )
-        return "{" + inner + body + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(type(v) is int for v in obj):
-            body = ("," + inner).join(map(int.__repr__, obj))
-        else:
-            body = ("," + inner).join([_dumps(v, inner) for v in obj])
-        return "[" + inner + body + pad + "]"
-    if isinstance(obj, Polynomial):
-        return _dumps_polynomial(obj, pad)
-    return json.dumps(obj)
-
-
-def _dumps_polynomial(poly: Polynomial, pad: str) -> str:
-    """The text of ``poly.to_json()``, one ``%`` format per term."""
-    i1, i2, i3, i4 = (pad + "  " * k for k in range(1, 5))
+def _dumps_polynomial(poly: Polynomial) -> str:
+    """The ``indent=2`` text of ``poly.to_json()`` as the value of a top-level key,
+    one ``%`` format per term: CPython's indented encoder is pure Python and took
+    most of the time of large ``compute`` runs.  The tests compare the two texts."""
+    i1, i2, i3, i4 = ("\n" + " " * k for k in (4, 6, 8, 10))
     n = poly.nvars
     exp = "[" + i4 + ("," + i4).join(["%d"] * n) + i3 + "]" if n else "[]"
     term = "{" + i3 + '"exp": ' + exp + "," + i3 + '"coeff": "%d"' + i2 + "}"
     terms = ("," + i2).join([term % (*e, c) for e, c in poly.sorted_terms()])
     terms = "[" + i2 + terms + i1 + "]" if terms else "[]"
-    return "{" + i1 + '"N": ' + str(n) + "," + i1 + '"terms": ' + terms + pad + "}"
+    return "{" + i1 + '"N": ' + str(n) + "," + i1 + '"terms": ' + terms + "\n  }"
 
 
 def _load_overlay(path: str) -> Overlay:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+        if type(obj) is not dict:
+            raise ValueError("not a JSON object")
         families = []
         for colour in ("white", "black"):
-            family = obj[colour]
+            if colour not in obj:
+                raise ValueError(f"missing field {colour!r}")
             try:
-                families.append(PathFamily.from_json(family))
-            except (KeyError, TypeError, ValueError) as exc:
+                families.append(PathFamily.from_json(obj[colour]))
+            except ValueError as exc:
                 raise ValueError(f"{colour}: {exc}") from exc
         return Overlay(*families)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"--overlay: cannot load {path!r}: {exc}") from exc
 
 
@@ -179,7 +142,8 @@ def cmd_compute(args) -> int:
         if args.point is not None:
             raise ValueError("--point is only read with --method eval")
         poly = skew_schur(shape, args.vars)
-        _emit({"shape": shape.to_json(), "N": args.vars, "polynomial": poly})
+        head = json.dumps({"shape": shape.to_json(), "N": args.vars}, indent=2)
+        print(head[:-2] + ',\n  "polynomial": ' + _dumps_polynomial(poly) + "\n}")
         return 0
     if args.point is None:
         raise ValueError("--point is required with --method eval")

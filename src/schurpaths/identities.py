@@ -288,9 +288,12 @@ def verify_identity(
     ``points`` seeded random points with entries in 0..4 and requires
     equality at every point; ``auto`` picks full when the estimated tableau
     count fits ``AUTO_BUDGET``.  Failures carry the witnessing point.
+    ``points`` below 1 is refused whatever the method.
     """
     t0 = time.perf_counter()
     n = identity.alphabet
+    if points < 1:
+        raise ValueError(f"verification needs at least one point, got {points}")
     if method == "auto":
         method = "full" if estimate_expansion_size(identity) <= AUTO_BUDGET else "multipoint"
     if method == "full":
@@ -304,8 +307,6 @@ def verify_identity(
         )
     if method != "multipoint":
         raise ValueError(f"unknown method {method!r}")
-    if points < 1:
-        raise ValueError(f"multipoint verification needs at least one point, got {points}")
     rng = random.Random(seed)
     per_point = []
     for _ in range(points):

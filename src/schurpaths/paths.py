@@ -127,27 +127,44 @@ class PathFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PathFamily":
-        """The family of ``to_json``; every number in it must be a JSON integer,
-        since the constructors would truncate a float and parse a string."""
-        _integer(obj["N"], "N")
-        _integer(obj["shift"], "shift")
-        if "rows" in obj:
-            _integer(obj["rows"], "rows")
-        raw = obj["shape"]
-        for key, parts in (("outer", raw["outer"]), ("inner", raw.get("inner", ()))):
+        """The family of ``to_json``.  Each field must have its JSON type, and
+        every number must be a JSON integer, since the constructors would
+        truncate a float and parse a string."""
+        if type(obj) is not dict:
+            raise ValueError("not a JSON object")
+        n, shift = _field(obj, "N", int), _field(obj, "shift", int)
+        rows = _typed(obj["rows"], int, "rows") if "rows" in obj else None
+        raw = _field(obj, "shape", dict)
+        outer = _field(raw, "outer", list, "shape.outer")
+        inner = _typed(raw["inner"], list, "shape.inner") if "inner" in raw else []
+        for key, parts in (("outer", outer), ("inner", inner)):
             for j, v in enumerate(parts):
-                _integer(v, f"shape.{key}[{j}]")
-        for i, row in enumerate(obj["tableau"]):
-            for j, v in enumerate(row):
-                _integer(v, f"tableau[{i}][{j}]")
-        t = validate_tableau(SkewShape.from_json(raw), obj["tableau"], obj["N"])
-        return tableau_to_paths(t, obj["shift"], rows=obj.get("rows"))
+                _typed(v, int, f"shape.{key}[{j}]")
+        tableau = _field(obj, "tableau", list)
+        for i, row in enumerate(tableau):
+            for j, v in enumerate(_typed(row, list, f"tableau[{i}]")):
+                _typed(v, int, f"tableau[{i}][{j}]")
+        t = validate_tableau(SkewShape.from_json(raw), tableau, n)
+        return tableau_to_paths(t, shift, rows=rows)
 
 
-def _integer(value, field: str) -> None:
-    """Refuse ``value`` unless it is an int: a bool, a float or a string is not."""
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer: {json.dumps(value)}")
+_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _field(obj: dict, key: str, kind: type, name: str | None = None):
+    """``obj[key]``, refused when missing, checked by ``_typed``."""
+    name = name or key
+    if key not in obj:
+        raise ValueError(f"missing field {name!r}")
+    return _typed(obj[key], kind, name)
+
+
+def _typed(value, kind: type, name: str):
+    """``value``, refused unless its type is exactly ``kind``: a bool is not an
+    int, and a float or a string is not a number."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {_KINDS[kind]}: {json.dumps(value)}")
+    return value
 
 
 def tableau_to_paths(t: Tableau, shift: int = 0, rows: int | None = None) -> PathFamily:

@@ -14,7 +14,11 @@ from .tableaux import enumerate_ssyt
 
 
 def default_seed() -> int:
-    return int(os.environ.get("SCHURPATHS_SEED", "42"))
+    text = os.environ.get("SCHURPATHS_SEED", "42")
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ValueError(f"SCHURPATHS_SEED must be an integer: {text!r}") from exc
 
 
 def _check(checks: list, name: str, ok: bool, detail: str) -> None:

@@ -39,6 +39,8 @@ def validate_tableau(shape: SkewShape, rows: Sequence[Sequence[int]], alphabet: 
     Violations are reported with the exact cell, rows must weakly increase
     left to right and columns strictly increase top to bottom.
     """
+    if alphabet < 1:
+        raise ValueError(f"alphabet must be positive: {alphabet}")
     rows = tuple(tuple(int(v) for v in r) for r in rows)
     if len(rows) != shape.rows:
         raise ValueError(f"expected {shape.rows} rows, got {len(rows)}")

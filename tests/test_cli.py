@@ -191,6 +191,15 @@ class TestIdentityGps:
         monkeypatch.delenv("SCHURPATHS_SEED")
         assert json.loads(run(capsys, *args)[1])["report"]["seed"] == 42
 
+    @pytest.mark.parametrize("command", [["identity-gps", "--lambda", "3,1", "--strips", "1:(2,1)"],
+                                         ["selftest"]], ids=["identity-gps", "selftest"])
+    def test_seed_environment_not_an_integer(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("SCHURPATHS_SEED", "abc")
+        code = main(command)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: SCHURPATHS_SEED must be an integer: 'abc'\n"
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_multipoint_without_points_is_usage_error(self, capsys, points):
         code, out = run(
@@ -382,13 +391,16 @@ def _first_entry(value):
 # after "error: --overlay: cannot load <path>: ".  The demo families have
 # shape 7,4,4,3,1,1,1/3,2,2,1, and the white tableau's first row is 3,4,7,7.
 MALFORMED_OVERLAYS = {
-    "top-level-list": (lambda w, b: [1, 2], "list indices must be integers or slices, not str"),
-    "family-int": (lambda w, b: {"white": 5, "black": b},
-                   "white: 'int' object is not subscriptable"),
+    "top-level-list": (lambda w, b: [1, 2], "not a JSON object"),
+    "family-int": (lambda w, b: {"white": 5, "black": b}, "white: not a JSON object"),
+    "missing-black": (lambda w, b: {"white": w}, "missing field 'black'"),
+    "missing-shape": (lambda w, b: {"white": {k: v for k, v in w.items() if k != "shape"},
+                                    "black": b},
+                      "white: missing field 'shape'"),
     "shift-str": (_white(shift="a"), 'white: shift must be an integer: "a"'),
-    "outer-int": (_white_shape(outer=1), "white: 'int' object is not iterable"),
+    "outer-int": (_white_shape(outer=1), "white: shape.outer must be a list: 1"),
     "tableau-row-int": (lambda w, b: {"white": dict(w, tableau=[3] + w["tableau"][1:]), "black": b},
-                        "white: 'int' object is not iterable"),
+                        "white: tableau[0] must be a list: 3"),
     "rows-str": (_white(rows="x"), 'white: rows must be an integer: "x"'),
     # numbers the constructors used to truncate or parse
     "outer-float": (_white_shape(outer=[7.9, 4, 4, 3, 1, 1, 1]),
@@ -400,6 +412,7 @@ MALFORMED_OVERLAYS = {
     "shift-bool": (_white(shift=True), "white: shift must be an integer: true"),
     "N-str": (_white(N="8"), 'white: N must be an integer: "8"'),
     "rows-float": (_white(rows=7.0), "white: rows must be an integer: 7.0"),
+    "N-zero": (_white(N=0), "white: alphabet must be positive: 0"),
     "black-inner-float": (lambda w, b: {"white": w, "black": dict(
         b, shape=dict(b["shape"], inner=[3, 2, 2.0, 1]))},
         "black: shape.inner[2] must be an integer: 2.0"),
@@ -474,6 +487,16 @@ REFUSALS = {
         ["compute", "--shape", "2,1/", "--vars", "2", "--point", "1,2"],
         "error: --point is only read with --method eval",
     ),
+    "points-zero-full": (
+        ["identity-gps", "--lambda", "3,1", "--strips", "1:(2,1)", "--method", "full",
+         "--points", "0"],
+        "error: verification needs at least one point, got 0",
+    ),
+    # auto picks full for this small identity
+    "points-negative-auto": (
+        ["identity-gps", "--lambda", "3,1", "--strips", "1:(2,1)", "--points=-1"],
+        "error: verification needs at least one point, got -1",
+    ),
     "point-length": (
         ["compute", "--shape", "2,1/", "--vars", "2", "--method", "eval", "--point", "1"],
         "error: --point needs 2 values, got 1",
@@ -544,19 +567,9 @@ class TestFailVerdictExitCode:
         assert not report.passed and report.witness is not None
 
 
-def _reference(obj):
-    """``obj`` with each Polynomial replaced by its ``to_json()``."""
-    if isinstance(obj, schur.Polynomial):
-        return obj.to_json()
-    if isinstance(obj, dict):
-        return {k: _reference(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return type(obj)(_reference(v) for v in obj)
-    return obj
-
-
 class TestEmit:
-    """``_emit`` prints exactly ``json.dumps(payload, indent=2)``."""
+    """Every command prints exactly ``json.dumps(payload, indent=2)``; only the
+    polynomial of ``compute --method enum`` is laid out by ``_dumps_polynomial``."""
 
     GPS = ("identity-gps", "--lambda", "10,7,7,6,6,4,4,3,2,2", "--mu", "4,3,3,1",
            "--strips", "2:(2,3);1:(6,2)", "--vars", "11", "--points", "3", "--seed", "42")
@@ -586,18 +599,22 @@ class TestEmit:
         emit = cli._emit
         monkeypatch.setattr(cli, "_emit", lambda p: (payloads.append(p), emit(p)))
         code, out = run(capsys, *(overlay_file if a == "OVERLAY" else a for a in argv))
-        assert code in (0, 1) and len(payloads) == 1
-        assert out == json.dumps(_reference(payloads[0]), indent=2) + "\n"
+        assert code in (0, 1)
+        if argv[0] == "compute" and "eval" not in argv:
+            # the enum payload is written without _emit
+            shape, n = parse_shape(argv[2]), int(argv[4])
+            payloads.append({"shape": shape.to_json(), "N": n,
+                             "polynomial": skew_schur(shape, n).to_json()})
+        assert len(payloads) == 1
+        assert out == json.dumps(payloads[0], indent=2) + "\n"
 
+    # a Polynomial stands for the payload {"polynomial": it}
     PAYLOADS = {
-        "zero-polynomial": {"polynomial": schur.Polynomial(3)},
-        "one-variable": {"polynomial": skew_schur(SkewShape(Partition((2,))), 1)},
-        "one-box-300-vars": {"polynomial": skew_schur(SkewShape(Partition((1,))), 300)},
-        "no-variables": {"polynomial": schur.Polynomial(0, {(): 1})},
-        "signed-big-coefficients": {
-            "polynomial": schur.Polynomial(2, {(1, 0): -3, (0, 2): 10**40, (0, 0): 7})
-        },
-        "nested-polynomials": [schur.Polynomial(2, {(0, 0): 1}), {"p": schur.Polynomial(1)}],
+        "zero-polynomial": schur.Polynomial(3),
+        "one-variable": skew_schur(SkewShape(Partition((2,))), 1),
+        "one-box-300-vars": skew_schur(SkewShape(Partition((1,))), 300),
+        "no-variables": schur.Polynomial(0, {(): 1}),
+        "signed-big-coefficients": schur.Polynomial(2, {(1, 0): -3, (0, 2): 10**40, (0, 0): 7}),
         "tuples": {"t": (1, (2, -3), ("a", None)), "empty": ()},
         "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]]]},
         "strings": {"λ/μ": "café ☃ \U0001d54a \"q\" \\ \n\t\x00", "": ""},
@@ -609,5 +626,9 @@ class TestEmit:
 
     @pytest.mark.parametrize("payload", PAYLOADS.values(), ids=PAYLOADS.keys())
     def test_values(self, capsys, payload):
-        cli._emit(payload)
-        assert capsys.readouterr().out == json.dumps(_reference(payload), indent=2) + "\n"
+        if isinstance(payload, schur.Polynomial):
+            text = '{\n  "polynomial": ' + cli._dumps_polynomial(payload) + "\n}"
+            assert text == json.dumps({"polynomial": payload.to_json()}, indent=2)
+        else:
+            cli._emit(payload)
+            assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"

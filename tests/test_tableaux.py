@@ -39,6 +39,11 @@ class TestValidate:
             validate_tableau(SkewShape(Partition((1,))), [[3]], 2)
         assert err.value.cell == (0, 0)
 
+    @pytest.mark.parametrize("alphabet", [0, -2])
+    def test_nonpositive_alphabet_named_before_entries(self, alphabet):
+        with pytest.raises(ValueError, match=rf"^alphabet must be positive: {alphabet}$"):
+            validate_tableau(SkewShape(Partition((1,))), [[3]], alphabet)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match=r"row 0 expected 2 entries, got 1"):
             validate_tableau(SkewShape(Partition((2,))), [[1]], 2)
