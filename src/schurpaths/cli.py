@@ -147,6 +147,8 @@ def cmd_compute(args) -> int:
         return 0
     if args.point is None:
         raise ValueError("--point is required with --method eval")
+    if args.vars < 1:
+        raise ValueError(f"alphabet must be positive: {args.vars}")
     values = parse_values(args.point)
     if len(values) != args.vars:
         raise ValueError(f"--point needs {args.vars} values, got {len(values)}")
@@ -180,6 +182,8 @@ def cmd_recolour(args) -> int:
         chosen, _ = all_bicoloured(ov)
     elif args.start:
         chosen = _trace_points(ov, args.start)
+        if not chosen:
+            raise ValueError("--start must name at least one point")
     else:
         raise ValueError("--start or --all is required")
     result = recolour(ov, chosen)
@@ -234,8 +238,11 @@ def cmd_render(args) -> int:
     highlight = _trace_points(ov, args.highlight) if args.highlight else []
     svg = render_overlay(ov, highlight, scale=args.scale)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise ValueError(f"--output: cannot write {args.output!r}: {exc}") from exc
     else:
         sys.stdout.write(svg + "\n")
     return 0

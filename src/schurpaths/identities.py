@@ -299,7 +299,7 @@ def verify_identity(
     if method == "full":
         lhs = _side(identity.lhs, lambda sh: skew_schur(sh, n), Polynomial(n))
         rhs = _side(identity.rhs, lambda sh: skew_schur(sh, n), Polynomial(n))
-        max_abs = max(map(abs, [*lhs.terms.values(), *rhs.terms.values()]), default=0)
+        max_abs = max(map(abs, [*lhs.coefficients(), *rhs.coefficients()]), default=0)
         witness = (lhs - rhs).leading_exponent()
         return VerificationReport(
             "full", 0, None, "pass" if witness is None else "fail", witness,

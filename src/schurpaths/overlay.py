@@ -238,7 +238,7 @@ class Overlay:
         else:
             raise ValueError(f"level {level} holds no start/end points")
         if key not in self._coloured:
-            raise ValueError(f"({x}, {level}) is not a coloured point")
+            raise ValueError(f"{x},{'N' if key[1] else 1} is not a coloured point")
         return self._coloured[key]
 
 

@@ -12,14 +12,14 @@ A ``Polynomial`` keys its terms by one packed int per exponent vector
 (Kronecker substitution, as in Monagan and Pearce, "Sparse polynomial
 multiplication"): the exponent of x_1 sits in the most significant field, so
 integer order on keys is descending lexicographic order on exponents, and a
-product of monomials is a sum of keys.  Exponent tuples appear only at the
-boundary: the constructor, ``terms``, ``sorted_terms``, ``leading_exponent``,
-``evaluate`` and the JSON form.
+product of monomials is a sum of keys.  The constructor packs exponent
+tuples, and ``sorted_terms`` is the one place that unpacks them; ``terms``,
+``leading_exponent``, ``evaluate`` and the JSON form read it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, ValuesView
 from functools import lru_cache
 from itertools import product
 from typing import Sequence
@@ -39,11 +39,6 @@ def _pack(exp: Sequence[int], bits: int) -> int:
     return key
 
 
-def _unpack(key: int, nvars: int, bits: int) -> Monomial:
-    mask = (1 << bits) - 1
-    return tuple([key >> s & mask for s in range((nvars - 1) * bits, -1, -bits)])
-
-
 class Polynomial:
     """Sparse multivariate polynomial with integer coefficients.
 
@@ -51,10 +46,10 @@ class Polynomial:
     key is ``bits`` wide, with every exponent below 2**bits; a product widens
     its fields by one bit, so that no sum of two fields carries, and a sum or
     comparison of polynomials of different widths repacks the narrower one.
-    The constructor packs exponent tuples; ``terms`` (a read-only view keyed
-    by exponent tuples), ``sorted_terms``, ``leading_exponent``, ``evaluate``
-    and ``to_json`` unpack them.  Instances are treated as immutable; all
-    operations return new objects.
+    The constructor packs exponent tuples and only ``sorted_terms`` unpacks
+    them: ``terms`` is a new dict of its pairs, in canonical order, and
+    ``coefficients()`` reads the store without unpacking.  Instances are
+    treated as immutable; all operations return new objects.
     """
 
     __slots__ = ("nvars", "_bits", "_terms")
@@ -88,8 +83,13 @@ class Polynomial:
         return poly
 
     @property
-    def terms(self) -> Mapping[Monomial, int]:
-        return _Terms(self)
+    def terms(self) -> dict[Monomial, int]:
+        """A new dict of the terms keyed by exponent tuples, in canonical order."""
+        return dict(self.sorted_terms())
+
+    def coefficients(self) -> ValuesView[int]:
+        """The nonzero coefficients, read from the store without unpacking."""
+        return self._terms.values()
 
     @property
     def is_zero(self) -> bool:
@@ -172,10 +172,8 @@ class Polynomial:
         ]
 
     def leading_exponent(self) -> Monomial | None:
-        """The first exponent of ``sorted_terms``, found without sorting."""
-        if not self._terms:
-            return None
-        return _unpack(max(self._terms), self.nvars, self._bits)
+        """The first exponent of ``sorted_terms``, or None for zero."""
+        return next(iter(self.terms), None)
 
     def to_json(self) -> dict:
         return {
@@ -188,34 +186,6 @@ class Polynomial:
         return cls(
             obj["N"], {tuple(t["exp"]): int(t["coeff"]) for t in obj["terms"]}
         )
-
-
-class _Terms(Mapping):
-    """The terms of a polynomial keyed by exponent tuples, unpacked on read."""
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: Polynomial) -> None:
-        self._poly = poly
-
-    def __len__(self) -> int:
-        return len(self._poly._terms)
-
-    def __iter__(self):
-        p = self._poly
-        return (_unpack(k, p.nvars, p._bits) for k in p._terms)
-
-    def __getitem__(self, exp: Monomial) -> int:
-        p = self._poly
-        if len(exp) != p.nvars or any(e >> p._bits for e in exp):
-            raise KeyError(exp)
-        return p._terms[_pack(exp, p._bits)]
-
-    def values(self):
-        return self._poly._terms.values()
-
-    def items(self):
-        return zip(self, self.values())
 
 
 @lru_cache(maxsize=None)

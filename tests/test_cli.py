@@ -440,7 +440,9 @@ BIG_WHITE = "16,15,15,13,13,11,11,10,10,9,7,5/"
 BIG_BLACK = "14,14,12,12,11,11,11,9,8,7,7,5/"
 
 # The stderr of each kind of refusal, as the library phrases it; "{overlay}"
-# is the small demo overlay and "{cell}" the same with a decreasing row.
+# is the small demo overlay, "{cell}" the same with a decreasing row,
+# "{missing}" a path in a directory that does not exist and "{directory}" a
+# directory.
 REFUSALS = {
     "bad-partition": (
         ["compute", "--shape", "2,x/", "--vars", "2"],
@@ -477,7 +479,11 @@ REFUSALS = {
     ),
     "start-not-coloured": (
         ["recolour", "--overlay", "{overlay}", "--start", "100,N"],
-        "error: (100, 8) is not a coloured point",
+        "error: 100,N is not a coloured point",
+    ),
+    "start-no-points": (
+        ["recolour", "--overlay", "{overlay}", "--start", ";"],
+        "error: --start must name at least one point",
     ),
     "starts-trace-one-path": (
         ["recolour", "--overlay", "{overlay}", "--start", "7,N;6,N"],
@@ -501,6 +507,27 @@ REFUSALS = {
         ["compute", "--shape", "2,1/", "--vars", "2", "--method", "eval", "--point", "1"],
         "error: --point needs 2 values, got 1",
     ),
+    "eval-vars-zero": (
+        ["compute", "--shape", "2,1/", "--vars", "0", "--method", "eval", "--point", "1"],
+        "error: alphabet must be positive: 0",
+    ),
+    "eval-vars-negative": (
+        ["compute", "--shape", "2,1/", "--vars", "-2", "--method", "eval", "--point", "1"],
+        "error: alphabet must be positive: -2",
+    ),
+    "eval-vars-zero-empty-point": (
+        ["compute", "--shape", "2,1/", "--vars", "0", "--method", "eval", "--point", ""],
+        "error: alphabet must be positive: 0",
+    ),
+    "output-missing-directory": (
+        ["render", "--overlay", "{overlay}", "-o", "{missing}"],
+        "error: --output: cannot write {missing!r}: "
+        "[Errno 2] No such file or directory: {missing!r}",
+    ),
+    "output-is-directory": (
+        ["render", "--overlay", "{overlay}", "-o", "{directory}"],
+        "error: --output: cannot write {directory!r}: [Errno 21] Is a directory: {directory!r}",
+    ),
     "overlay-cell-violation": (
         ["render", "--overlay", "{cell}"],
         "error: --overlay: cannot load {cell!r}: white: row 0 decreases at column 4",
@@ -511,7 +538,12 @@ REFUSALS = {
 class TestRefusals:
     @pytest.mark.parametrize("argv, err", REFUSALS.values(), ids=REFUSALS.keys())
     def test_exact_stderr(self, capsys, tmp_path, overlay_file, argv, err):
-        files = {"overlay": overlay_file, "cell": write_overlay(tmp_path, "cell", _row_decreases)}
+        files = {
+            "overlay": overlay_file,
+            "cell": write_overlay(tmp_path, "cell", _row_decreases),
+            "missing": str(tmp_path / "missing" / "picture.svg"),
+            "directory": str(tmp_path),
+        }
         code = main([a.format(**files) for a in argv])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""

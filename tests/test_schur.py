@@ -24,6 +24,16 @@ def _one(nvars):
     return Polynomial(nvars, {(0,) * nvars: 1})
 
 
+# Polynomials the reader tests run on: zero, one variable, a field wider
+# than a machine word, and coefficients of both signs.
+READER_POLYNOMIALS = {
+    "zero": Polynomial(3),
+    "one-variable": skew_schur(SkewShape(P(2)), 1),
+    "wide": Polynomial(1, {(2**40,): 1}) * Polynomial(1, {(2**40,): 1, (0,): 2}),
+    "signed": Polynomial(2, {(1, 0): -3, (0, 2): 10**40, (0, 0): 7}),
+}
+
+
 class TestPolynomial:
     def test_square_of_sum(self):
         x1 = Polynomial(2, {(1, 0): 1})
@@ -70,6 +80,29 @@ class TestPolynomial:
                 poly = skew_schur(shape, n)
                 assert dict(poly.terms.items()) == poly.terms
                 assert sorted(poly.terms.items()) == sorted(poly.sorted_terms())
+
+    @pytest.mark.parametrize("p", READER_POLYNOMIALS.values(), ids=READER_POLYNOMIALS.keys())
+    def test_terms_is_sorted_terms_as_a_dict(self, p):
+        assert list(p.terms.items()) == p.sorted_terms()
+
+    @pytest.mark.parametrize("p", READER_POLYNOMIALS.values(), ids=READER_POLYNOMIALS.keys())
+    def test_terms_is_a_copy(self, p):
+        before = p.sorted_terms()
+        terms = p.terms
+        terms.clear()
+        terms[(7,) * p.nvars] = 5
+        assert p.sorted_terms() == before
+
+    @pytest.mark.parametrize("p", READER_POLYNOMIALS.values(), ids=READER_POLYNOMIALS.keys())
+    def test_coefficients_are_the_terms_values(self, p):
+        assert sorted(p.coefficients()) == sorted(p.terms.values())
+
+    @pytest.mark.parametrize("p", READER_POLYNOMIALS.values(), ids=READER_POLYNOMIALS.keys())
+    def test_leading_exponent(self, p):
+        if p.is_zero:
+            assert p.leading_exponent() is None
+        else:
+            assert p.leading_exponent() == p.sorted_terms()[0][0]
 
     def test_equal_and_hash_equal_across_constructions(self):
         poly = skew_schur(SkewShape(P(3, 1), P(1)), 3)
