@@ -55,6 +55,7 @@ from .schur import (
     Polynomial,
     bareiss_determinant,
     complete_homogeneous_values,
+    h_values,
     skew_schur,
     skew_schur_eval,
 )

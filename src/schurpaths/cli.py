@@ -3,8 +3,9 @@
 Subcommands: compute, endpoints, recolour, identity-theorem, identity-gps,
 render, selftest.  All reports are JSON on standard output.  Exit status is
 0 on success or a passing verdict, 1 on a failing verdict, 2 on usage errors,
-on a standard output closed by its reader, and on internal invariant
-failures (reported as ``error: internal: ...``).
+on a standard output closed by its reader, on internal invariant failures
+(reported as ``error: internal: ...``) and on running out of memory
+(reported as ``error: resource limit: out of memory``).
 """
 
 from __future__ import annotations
@@ -235,7 +236,11 @@ def cmd_identity_gps(args) -> int:
 
 def cmd_render(args) -> int:
     ov = _load_overlay(args.overlay)
-    highlight = _trace_points(ov, args.highlight) if args.highlight else []
+    highlight = []
+    if args.highlight is not None:
+        highlight = _trace_points(ov, args.highlight)
+        if not highlight:
+            raise ValueError("--highlight must name at least one point")
     svg = render_overlay(ov, highlight, scale=args.scale)
     if args.output:
         try:
@@ -359,6 +364,9 @@ def main(argv=None) -> int:
     except (AssertionError, RecursionError) as exc:
         # a broken internal invariant is reported, not shown as a traceback
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: resource limit: out of memory", file=sys.stderr)
         return 2
 
 

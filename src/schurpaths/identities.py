@@ -26,7 +26,7 @@ from .partitions import (
     peel_up,
     to_points,
 )
-from .schur import Polynomial, skew_schur, skew_schur_eval
+from .schur import Polynomial, h_values, skew_schur, skew_schur_eval
 
 
 # ``auto`` expands in full when the estimated tableau count is at most this.
@@ -273,7 +273,9 @@ def _side(terms: Sequence[ProductTerm], schur_of: Callable[[SkewShape], object],
 def estimate_expansion_size(identity: Identity) -> int:
     """Total tableau count over every shape of the identity at its alphabet."""
     ones = (1,) * identity.alphabet
-    return sum(skew_schur_eval(s, ones) for s in identity.all_shapes())
+    shapes = identity.all_shapes()
+    h = h_values(shapes, ones)
+    return sum(skew_schur_eval(s, ones, h) for s in shapes)
 
 
 def verify_identity(
@@ -286,9 +288,11 @@ def verify_identity(
 
     ``full`` expands both sides as polynomials; ``multipoint`` evaluates at
     ``points`` seeded random points with entries in 0..4 and requires
-    equality at every point; ``auto`` picks full when the estimated tableau
-    count fits ``AUTO_BUDGET``.  Failures carry the witnessing point.
-    ``points`` below 1 is refused whatever the method.
+    equality at every point, computing the h-values once per point and
+    sharing that one vector across every shape's determinant; ``auto``
+    picks full when the estimated tableau count fits ``AUTO_BUDGET``.
+    Failures carry the witnessing point.  ``points`` below 1 is refused
+    whatever the method.
     """
     t0 = time.perf_counter()
     n = identity.alphabet
@@ -308,11 +312,13 @@ def verify_identity(
     if method != "multipoint":
         raise ValueError(f"unknown method {method!r}")
     rng = random.Random(seed)
+    shapes = identity.all_shapes()
     per_point = []
     for _ in range(points):
         point = tuple(rng.randint(0, 4) for _ in range(n))
-        lv = _side(identity.lhs, lambda sh: skew_schur_eval(sh, point), 0)
-        rv = _side(identity.rhs, lambda sh: skew_schur_eval(sh, point), 0)
+        h = h_values(shapes, point)
+        lv = _side(identity.lhs, lambda sh: skew_schur_eval(sh, point, h), 0)
+        rv = _side(identity.rhs, lambda sh: skew_schur_eval(sh, point, h), 0)
         per_point.append((point, lv, rv))
     witness = next((p for p, lv, rv in per_point if lv != rv), None)
     max_abs = max(abs(v) for _, lv, rv in per_point for v in (lv, rv))

@@ -283,18 +283,35 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def skew_schur_eval(shape: SkewShape, values: Sequence[int]) -> int:
+def h_values(shapes: Sequence[SkewShape], values: Sequence[int]) -> list[int]:
+    """h_0..h_D at ``values``, D the top degree read by any shape's determinant.
+
+    Entry (i, j) of the Jacobi-Trudi matrix of outer/inner with r rows is
+    h_{a_i - b_j}, a_i = outer_i - i and b_j = inner_j - j; both strictly
+    decrease, so the top degree is a_1 - b_r = outer_1 - inner_r + r - 1.
+    One vector serves every shape evaluated at the same point.
+    """
+    top = max(
+        (s.outer[0] - s.inner.part(s.rows) + s.rows - 1 for s in shapes if s.rows), default=0
+    )
+    return complete_homogeneous_values(values, top)
+
+
+def skew_schur_eval(
+    shape: SkewShape, values: Sequence[int], h: Sequence[int] | None = None
+) -> int:
     """Independent oracle: det(h_{outer_i - inner_j - i + j}) at integer values.
 
-    Out-of-range indices contribute h_d = 0 for d < 0; the empty shape gives 1.
+    ``h`` is ``h_values`` at ``values`` for a set of shapes that includes this
+    one; it is computed for this shape alone when not given.  Out-of-range
+    indices contribute h_d = 0 for d < 0; the empty shape gives 1.
     """
     lam, mu = shape.outer, shape.inner
     r = len(lam)
     if r == 0:
         return 1
-    # entry (i, j) is h_{a_i - b_j}; a and b strictly decrease, so the top
-    # degree a_1 - b_r is at least lam_1 - mu_r >= 0
-    a = [lam.part(i) - i for i in range(1, r + 1)]
-    b = [mu.part(j) - j for j in range(1, r + 1)]
-    h = complete_homogeneous_values(values, a[0] - b[-1])
+    if h is None:
+        h = h_values((shape,), values)
+    a = [p - i for i, p in enumerate(lam, 1)]
+    b = [p - j for j, p in enumerate((*mu, *(0,) * (r - len(mu))), 1)]
     return bareiss_determinant([[h[x - y] if x >= y else 0 for y in b] for x in a])

@@ -485,6 +485,10 @@ REFUSALS = {
         ["recolour", "--overlay", "{overlay}", "--start", ";"],
         "error: --start must name at least one point",
     ),
+    "highlight-no-points": (
+        ["render", "--overlay", "{overlay}", "--highlight", ";"],
+        "error: --highlight must name at least one point",
+    ),
     "starts-trace-one-path": (
         ["recolour", "--overlay", "{overlay}", "--start", "7,N;6,N"],
         "error: start points 7,N and 6,N trace the same path",
@@ -588,6 +592,17 @@ class TestInternalErrors:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: internal: {type(exc).__name__}: {exc}\n"
+
+    def test_out_of_memory_reported_as_resource_limit(self, capsys, monkeypatch):
+        def exhausted(shape, values):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "skew_schur_eval", exhausted)
+        code = main(["compute", "--shape", "1099511627776/", "--vars", "2",
+                     "--method", "eval", "--point", "1,1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: resource limit: out of memory\n"
 
 
 class TestFailVerdictExitCode:

@@ -15,13 +15,16 @@ from schurpaths import (
     SkewShape,
     StripSpec,
     border_strip_identity,
+    complete_homogeneous_values,
     configuration_from_shapes,
     estimate_expansion_size,
     minimal_alphabet,
     recolouring_expansion,
+    skew_schur_eval,
     strips_match_recolouring,
     verify_identity,
 )
+from schurpaths import schur
 
 LAM = Partition((10, 7, 7, 6, 6, 4, 4, 3, 2, 2))
 MU = Partition((4, 3, 3, 1))
@@ -33,6 +36,15 @@ BIG_SIG = Partition((14, 14, 12, 12, 11, 11, 11, 9, 8, 7, 7, 5))
 
 def P(*parts):
     return Partition(parts)
+
+
+def _side_at(terms, point):
+    """One side of an identity at ``point``, each shape evaluated on its own."""
+    return sum(
+        skew_schur_eval(t.white, point) * skew_schur_eval(t.black, point)
+        for t in terms
+        if not t.zero
+    )
 
 
 def alternating_configuration(rng: random.Random, k: int) -> CircularConfiguration:
@@ -277,6 +289,24 @@ class TestVerify:
             assert report.witness == (unequal[0] if unequal else None)
             assert report.max_abs == max(abs(v) for _, *values in report.per_point for v in values)
             assert (report.verdict == "fail") == (report.witness is not None)
+            # the shared h-vector gives each shape's own value
+            assert report.per_point == tuple(
+                (p, *(_side_at(side, p) for side in (ident.lhs, ident.rhs)))
+                for p, _, _ in report.per_point
+            )
+
+    def test_multipoint_computes_one_h_vector_per_point(self, monkeypatch):
+        calls = []
+
+        def counting(values, max_degree):
+            calls.append(tuple(values))
+            return complete_homogeneous_values(values, max_degree)
+
+        monkeypatch.setattr(schur, "complete_homogeneous_values", counting)
+        ident = border_strip_identity(LAM, MU, STRIPS, alphabet=11)
+        report = verify_identity(ident, method="multipoint", points=20, seed=42)
+        assert report.passed and len(calls) == 20
+        assert calls == [p for p, _, _ in report.per_point]
 
     def test_negative_control_drops_term(self):
         ident = border_strip_identity(LAM, MU, STRIPS, alphabet=11)

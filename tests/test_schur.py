@@ -9,6 +9,7 @@ from schurpaths import (
     bareiss_determinant,
     complete_homogeneous_values,
     enumerate_ssyt,
+    h_values,
     skew_schur,
     skew_schur_eval,
     weight,
@@ -219,13 +220,26 @@ class TestEvalOracle:
         assert skew_schur_eval(SkewShape(P()), (1, 1)) == 1
 
     def test_agreement_with_enumeration(self):
+        # each shape read from its own h-vector and from one built together
+        # with a taller shape, whose vector is longer
+        tall = SkewShape(P(6, 1, 1, 1, 1, 1, 1))
         rng = random.Random(11)
+        vanishing = 0
         for shape in shapes_up_to(5):
             for n in (2, 3):
                 poly = skew_schur(shape, n)
-                for _ in range(3):
-                    point = tuple(rng.randint(0, 4) for _ in range(n))
-                    assert poly.evaluate(point) == skew_schur_eval(shape, point)
+                points = [(0,) * n, (0,) + (3,) * (n - 1)]
+                points += [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(3)]
+                for point in points:
+                    shared = h_values((shape, tall), point)
+                    assert len(shared) > len(h_values((shape,), point))
+                    value = skew_schur_eval(shape, point)
+                    assert skew_schur_eval(shape, point, shared) == value
+                    assert poly.evaluate(point) == value, (shape, point)
+                    if shape.max_column_height > n:
+                        assert value == 0
+                        vanishing += 1
+        assert vanishing > 0
 
     def test_straight_shapes_are_symmetric(self):
         import itertools
