@@ -4,8 +4,9 @@ Subcommands: compute, endpoints, recolour, identity-theorem, identity-gps,
 render, selftest.  All reports are JSON on standard output.  Exit status is
 0 on success or a passing verdict, 1 on a failing verdict, 2 on usage errors,
 on a standard output closed by its reader, on internal invariant failures
-(reported as ``error: internal: ...``) and on running out of memory
-(reported as ``error: resource limit: out of memory``).
+(reported as ``error: internal: ...``), on running out of memory (reported
+as ``error: resource limit: out of memory``) and on a number too large for a
+float (``error: resource limit: number too large: ...``).
 """
 
 from __future__ import annotations
@@ -367,6 +368,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print("error: resource limit: out of memory", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: resource limit: number too large: {exc}", file=sys.stderr)
         return 2
 
 

@@ -30,8 +30,9 @@ class Partition(tuple):
                 raise ValueError(f"parts must weakly decrease: {a} before {b}")
         if data and data[-1] < 0:
             raise ValueError(f"parts must be nonnegative: {data[-1]}")
-        while data and data[-1] == 0:
-            data = data[:-1]
+        if data and data[-1] == 0:
+            # the parts weakly decrease and are nonnegative: the zeros trail
+            data = data[: data.index(0)]
         return super().__new__(cls, data)
 
     def part(self, i: int) -> int:

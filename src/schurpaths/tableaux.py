@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -67,10 +68,8 @@ def enumerate_ssyt(shape: SkewShape, alphabet: int) -> Iterator[Tableau]:
     """All semistandard fillings, in row-major lexicographic order.
 
     The empty shape yields exactly one empty tableau.  A shape with a column
-    taller than ``alphabet`` yields nothing.
+    taller than ``alphabet`` yields nothing, without a search.
     """
-    if alphabet < 1:
-        raise ValueError(f"alphabet must be positive: {alphabet}")
     yield from _fill(shape, alphabet, lambda lo, hi: range(lo, hi + 1))
 
 
@@ -83,29 +82,38 @@ def weight(t: Tableau) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def _fill(shape, alphabet, candidates) -> Iterator[Tableau]:
+def _fill(shape: SkewShape, alphabet: int, candidates) -> Iterator[Tableau]:
+    """Every filling, in row-major order of cells, each cell trying the values
+    of ``candidates(lo, hi)`` in turn; the one search behind every filler.
+
+    A column taller than ``alphabet`` is refused before any cell is filled.
+    Past that, no partial filling is a dead end, so the first filling is one
+    greedy pass.  ``hi`` is ``alphabet`` less the cells below, and ``lo <= hi``:
+
+    - the left neighbour is at most its own ``hi``, which is at most this one,
+      as the depth below falls weakly along a row;
+    - the value above plus 1 is at most ``hi``;
+    - ``hi >= 1``, as no column is too tall.
+    """
+    if alphabet < 1:
+        raise ValueError(f"alphabet must be positive: {alphabet}")
+    if shape.max_column_height > alphabet:
+        return
     cells = list(shape.cells())
     acc: list[list[int]] = [[] for _ in range(shape.rows)]
     spans = [shape.row_span(i) for i in range(shape.rows)]
-    # cells strictly below in the same column force an upper bound
-    below = {}
-    for i, j in cells:
-        d = 0
-        while shape.has_cell(i + d + 1, j):
-            d += 1
-        below[(i, j)] = d
+    # the cells below (i, j) are rows i + 1 .. #{parts of outer > j} - 1
+    ascending = shape.outer[::-1]
+    his = [alphabet - (len(ascending) - bisect_right(ascending, j) - 1 - i) for i, j in cells]
 
     def options(k: int) -> Iterator[int]:
         i, j = cells[k]
-        lo = 1
-        if j - 1 >= spans[i][0]:
-            lo = max(lo, acc[i][-1])
-        if i > 0 and shape.has_cell(i - 1, j):
-            lo = max(lo, acc[i - 1][j - spans[i - 1][0]] + 1)
-        return iter(candidates(lo, alphabet - below[(i, j)]))
+        left = acc[i][-1] if j > spans[i][0] else 1
+        above = acc[i - 1][j - spans[i - 1][0]] + 1 if shape.has_cell(i - 1, j) else 1
+        return iter(candidates(max(left, above), his[k]))
 
     if not cells:
-        yield Tableau(shape, tuple(tuple(r) for r in acc), alphabet)
+        yield Tableau(shape, acc, alphabet)
         return
     # Depth-first with an explicit stack, so that long rows cannot exhaust the
     # interpreter's recursion limit.  stack[k] iterates the values of cell k;
@@ -122,45 +130,28 @@ def _fill(shape, alphabet, candidates) -> Iterator[Tableau]:
         row = acc[cells[k][0]]
         row.append(v)
         if k + 1 == len(cells):
-            yield Tableau(shape, tuple(tuple(r) for r in acc), alphabet)
+            yield Tableau(shape, acc, alphabet)
             row.pop()
         else:
             stack.append(options(k + 1))
 
 
 def first_tableau(shape: SkewShape, alphabet: int) -> Tableau | None:
-    """The lexicographically smallest filling, or None if none exists."""
+    """The entrywise (and lexicographically) smallest filling, or None if
+    none exists: the first of :func:`enumerate_ssyt`, found in one pass."""
     return next(enumerate_ssyt(shape, alphabet), None)
 
 
 def last_tableau(shape: SkewShape, alphabet: int) -> Tableau | None:
-    """The entrywise largest filling, or None if none exists.
-
-    Filled greedily in reverse row-major order: each entry is as large as the
-    right neighbour and the cell below allow.
-    """
-    rows: list[list[int]] = [[] for _ in range(shape.rows)]
-    for i in range(shape.rows - 1, -1, -1):
-        lo, hi = shape.row_span(i)
-        for j in range(hi - 1, lo - 1, -1):
-            v = alphabet
-            if rows[i]:
-                v = min(v, rows[i][0])
-            if shape.has_cell(i + 1, j):
-                v = min(v, rows[i + 1][j - shape.row_span(i + 1)[0]] - 1)
-            rows[i].insert(0, v)
-    try:
-        return validate_tableau(shape, rows, alphabet)
-    except ValueError:
-        return None
+    """The entrywise largest filling, or None if none exists, found in one
+    pass with each entry as large as the cells below it allow."""
+    return next(_fill(shape, alphabet, lambda lo, hi: range(hi, lo - 1, -1)), None)
 
 
 def random_tableau(shape: SkewShape, alphabet: int, rng: random.Random) -> Tableau | None:
-    """A filling found by backtracking with shuffled candidate values.
-
-    Not uniform over all fillings, but cheap and reaches every filling with
-    positive probability.
-    """
+    """A filling drawn entry by entry from shuffled allowed values, or None if
+    none exists; no draw is undone, as no cell is a dead end.  Not uniform
+    over all fillings, but reaches every filling with positive probability."""
 
     def shuffled(lo: int, hi: int):
         vals = list(range(lo, hi + 1))

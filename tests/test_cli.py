@@ -441,8 +441,8 @@ BIG_BLACK = "14,14,12,12,11,11,11,9,8,7,7,5/"
 
 # The stderr of each kind of refusal, as the library phrases it; "{overlay}"
 # is the small demo overlay, "{cell}" the same with a decreasing row,
-# "{missing}" a path in a directory that does not exist and "{directory}" a
-# directory.
+# "{huge}" the same with a black shift of 10**400, "{missing}" a path in a
+# directory that does not exist and "{directory}" a directory.
 REFUSALS = {
     "bad-partition": (
         ["compute", "--shape", "2,x/", "--vars", "2"],
@@ -536,6 +536,14 @@ REFUSALS = {
         ["render", "--overlay", "{cell}"],
         "error: --overlay: cannot load {cell!r}: white: row 0 decreases at column 4",
     ),
+    "render-scale-too-large": (
+        ["render", "--overlay", "{overlay}", "--scale", str(10**400)],
+        "error: resource limit: number too large: integer division result too large for a float",
+    ),
+    "render-shift-too-large": (
+        ["render", "--overlay", "{huge}"],
+        "error: resource limit: number too large: int too large to convert to float",
+    ),
 }
 
 
@@ -545,6 +553,9 @@ class TestRefusals:
         files = {
             "overlay": overlay_file,
             "cell": write_overlay(tmp_path, "cell", _row_decreases),
+            "huge": write_overlay(
+                tmp_path, "huge", lambda w, b: {"white": w, "black": dict(b, shift=10**400)}
+            ),
             "missing": str(tmp_path / "missing" / "picture.svg"),
             "directory": str(tmp_path),
         }
