@@ -34,7 +34,6 @@ from .paths import (
     PathFamily,
     endpoints,
     family_from_paths,
-    is_nonintersecting,
     paths_to_tableau,
     tableau_to_paths,
 )

@@ -125,6 +125,13 @@ class VerificationReport:
         return out
 
 
+def _as_x(x) -> int:
+    # a float or a string would be read as a different point; a bool is no x
+    if type(x) is not int:
+        raise ValueError(f"x must be an integer, got {x!r}")
+    return x
+
+
 def _as_top(level) -> bool:
     if isinstance(level, bool):
         return level
@@ -177,7 +184,7 @@ def recolouring_expansion(
     config = configuration_from_shapes(white, black, shifts, rows)
     if not config.alternating:
         raise ValueError("coloured point orientations do not alternate")
-    s_pts = {(int(x), _as_top(level)) for x, level in s}
+    s_pts = {(_as_x(x), _as_top(level)) for x, level in s}
     if not s_pts:
         raise ValueError("s must be nonempty")
     inward = {(p.x, p.top): p.index for p in config.inward_points()}

@@ -27,7 +27,8 @@ from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .partitions import SkewShape, canonical_shape
-from .paths import Arc, LatticePath, PathFamily, Point, family_from_paths
+from .paths import Arc, PathFamily, Point
+from .tableaux import Tableau
 
 
 class Colour(Enum):
@@ -310,7 +311,9 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
 
     The chosen paths must come from this overlay and be pairwise
     arc-disjoint.  Returns a new overlay; applying the same selection again
-    restores the original.
+    restores the original.  The shapes and shifts are decoded from the
+    reoriented configuration, as the expansion decodes its terms, and each
+    row is walked off the recoloured arcs.
     """
     chosen = list(chosen)
     flip_arcs: dict[Arc, Colour] = {}
@@ -344,32 +347,28 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
         out[colour.other][arc[0]] = arc
 
     config = ov.configuration.reoriented(flip_indices)
-    families = {}
-    for colour in Colour:
-        families[colour] = _assemble_family(
-            out[colour], config.colour_point_xs(colour, False),
-            config.colour_point_xs(colour, True), ov.top,
-        )
-    return Overlay(families[Colour.WHITE], families[Colour.BLACK])
+    shapes = config.shapes()
+    if shapes is None:
+        raise AssertionError("recoloured configuration has a negative row")
+    families = []
+    for colour, (shape, shift) in zip(Colour, shapes):
+        pairs = zip(config.colour_point_xs(colour, False), config.colour_point_xs(colour, True))
+        rows = [_walk(out[colour], (x, 1), (e, ov.top)) for x, e in pairs]
+        families.append(PathFamily(Tableau(shape, rows[: shape.rows], ov.top), shift, len(rows)))
+    return Overlay(*families)
 
 
-def _assemble_family(out: dict[Point, Arc], start_xs: list[int], end_xs: list[int], top: int) -> PathFamily:
-    paths = []
-    for x in start_xs:
-        v: Point = (x, 1)
-        heights: list[int] = []
-        while v in out:
-            tail, head = out[v]
-            if head[1] == tail[1]:
-                heights.append(tail[1])
-            v = head
-        if v[1] != top or v[0] not in end_xs:
-            raise AssertionError(f"walk from ({x}, 1) ends at {v}, not an end point")
-        paths.append(LatticePath((x, 1), tuple(heights), top))
-    fam = family_from_paths(paths, top)
-    if list(fam.end_xs()) != end_xs:
-        raise AssertionError("assembled family misses an end point")
-    return fam
+def _walk(out: dict[Point, Arc], v: Point, end: Point) -> tuple[int, ...]:
+    """The levels of the horizontal arcs on the walk along ``out`` from ``v``,
+    which must end at ``end``: one row of the family's tableau."""
+    start, heights = v, []
+    while v in out:
+        tail, v = out[v]
+        if tail[1] == v[1]:
+            heights.append(tail[1])
+    if v != end:
+        raise AssertionError(f"walk from {start} ends at {v}, not at its end point {end}")
+    return tuple(heights)
 
 
 def _require_admissible(config: CircularConfiguration) -> None:

@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .partitions import PointSet, SkewShape, canonical_shape, to_points
-from .tableaux import Tableau, validate_tableau, weight
+from .tableaux import CellViolation, Tableau, validate_tableau, weight
 
 Point = tuple[int, int]
 Arc = tuple[Point, Point]
@@ -53,17 +53,6 @@ class LatticePath:
     def arcs(self) -> list[Arc]:
         pts = self.points()
         return list(zip(pts, pts[1:]))
-
-
-def is_nonintersecting(paths: Sequence[LatticePath]) -> bool:
-    """True iff no lattice point occurs in two distinct paths."""
-    seen: set[Point] = set()
-    for p in paths:
-        pts = p.points()
-        if seen.intersection(pts):
-            return False
-        seen.update(pts)
-    return True
 
 
 @dataclass(frozen=True)
@@ -190,7 +179,9 @@ def family_from_paths(paths: Iterable[LatticePath], alphabet: int) -> PathFamily
     The shift is chosen maximal subject to all parts being nonnegative, which
     makes the smallest decoded part zero.  Raises ValueError when a path does
     not run up from level 1 to level ``alphabet``, when the endpoints fit no
-    skew shape, or when two paths meet.
+    skew shape, or when two paths meet.  Paths with these endpoints meet
+    exactly when their rows break the column rule of a semistandard tableau,
+    so nothing is drawn.
     """
     ordered = sorted(paths, key=lambda p: p.start[0], reverse=True)
     for p in ordered:
@@ -202,9 +193,10 @@ def family_from_paths(paths: Iterable[LatticePath], alphabet: int) -> PathFamily
     if any(a <= b for a, b in zip(ends, ends[1:])):
         raise ValueError("end points out of order for start point order")
     shape, shift = canonical_shape(starts, ends)
-    if not is_nonintersecting(ordered):
-        raise ValueError("paths share a lattice point")
-    t = Tableau(shape, tuple(p.heights for p in ordered[: shape.rows]), alphabet)
+    try:
+        t = validate_tableau(shape, [p.heights for p in ordered[: shape.rows]], alphabet)
+    except CellViolation:
+        raise ValueError("paths share a lattice point") from None
     return PathFamily(t, shift, len(ordered))
 
 

@@ -9,9 +9,12 @@ import pytest
 
 from schurpaths import (
     CircularConfiguration,
+    LatticePath,
     Partition,
     PathFamily,
     SkewShape,
+    Tableau,
+    canonical_shape,
     enumerate_admissible_matchings,
     family_from_paths,
     random_tableau,
@@ -68,6 +71,28 @@ def first_appearance_flip_sets(
             seen.add(flips)
             out.append(flips)
     return out
+
+
+def drawn_family_from_paths(paths: list[LatticePath], alphabet: int) -> PathFamily:
+    """Oracle for ``family_from_paths``: the same checks in the same order,
+    but two paths meet when drawing them puts one lattice point in both."""
+    ordered = sorted(paths, key=lambda p: p.start[0], reverse=True)
+    for p in ordered:
+        levels = (1, *p.heights, alphabet)
+        if p.start[1] != 1 or p.top != alphabet or any(a > b for a, b in zip(levels, levels[1:])):
+            raise ValueError(f"path from {p.start} does not run up from level 1 to level {alphabet}")
+    ends = [p.end[0] for p in ordered]
+    if any(a <= b for a, b in zip(ends, ends[1:])):
+        raise ValueError("end points out of order for start point order")
+    shape, shift = canonical_shape([p.start[0] for p in ordered], ends)
+    seen: set[tuple[int, int]] = set()
+    for p in ordered:
+        points = p.points()
+        if seen.intersection(points):
+            raise ValueError("paths share a lattice point")
+        seen.update(points)
+    t = Tableau(shape, tuple(p.heights for p in ordered[: shape.rows]), alphabet)
+    return PathFamily(t, shift, len(ordered))
 
 
 class FamilySampler:

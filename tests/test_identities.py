@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import time
 
 import pytest
@@ -181,6 +182,12 @@ class TestRecolouringExpansion:
     def test_s_not_inward(self):
         with pytest.raises(ValueError, match=r"not inward coloured points: 13,N$"):
             recolouring_expansion(SkewShape(BIG_LAM), SkewShape(BIG_SIG), s={(13, "N")})
+
+    @pytest.mark.parametrize("x", [15.9, "15", True], ids=["float", "str", "bool"])
+    def test_x_not_an_integer(self, x):
+        # int() would read 15.9 and "15" as the inward point 15
+        with pytest.raises(ValueError, match=rf"^x must be an integer, got {re.escape(repr(x))}$"):
+            recolouring_expansion(SkewShape(BIG_LAM), SkewShape(BIG_SIG), s={(x, "N")})
 
     def test_degree_conservation(self):
         lhs_cells = SkewShape(BIG_LAM).size + SkewShape(BIG_SIG).size

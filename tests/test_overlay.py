@@ -2,17 +2,21 @@ import collections
 import itertools
 import math
 import operator
+import re
 import time
 
 import pytest
 
 from schurpaths import (
+    BicolouredPath,
     CircularConfiguration,
     Colour,
     ColouredPoint,
     Overlay,
     Partition,
+    PathFamily,
     SkewShape,
+    Tableau,
     admissible_flip_sets,
     all_bicoloured,
     enumerate_admissible_matchings,
@@ -259,6 +263,40 @@ class TestRecolour:
         foreign = all_bicoloured(other)[0]
         with pytest.raises(ValueError, match=r"endpoint 4,1 is not a coloured point here"):
             recolour(ov, foreign)
+
+
+class TestRecolourInvariants:
+    """Each internal check of recolour fires on a path that no trace gives."""
+
+    def _forged(self, ov, i, j, arcs=()):
+        pts = ov.configuration.points
+        return BicolouredPath(pts[i - 1], pts[j - 1], arcs, ())
+
+    def test_flipped_arc_meets_the_other_family(self):
+        ov = demo_overlay_small()
+        # the white arc leaves a point that a black arc also leaves
+        arc = ((0, 4), (0, 5))
+        assert ov._out[Colour.BLACK][arc[0]] != arc
+        with pytest.raises(AssertionError, match=r"recoloured family intersects itself"):
+            recolour(ov, [self._forged(ov, 1, 2, ((arc, Colour.WHITE),))])
+
+    def test_unreachable_configuration(self):
+        ov = demo_overlay_small()
+        with pytest.raises(AssertionError, match=r"recoloured configuration has a negative row"):
+            recolour(ov, [self._forged(ov, 1, 8)])
+
+    def test_walk_misses_its_end_point(self):
+        ov = demo_overlay_small()
+        with pytest.raises(
+            AssertionError, match=re.escape("walk from (2, 1) ends at (6, 8), not at its end point (7, 8)")
+        ):
+            recolour(ov, [self._forged(ov, 1, 2)])
+
+    def test_overlay_of_meeting_paths(self):
+        t = Tableau(SkewShape(Partition((1, 1))), ((1,), (1,)), 2)
+        fam = PathFamily(t, 0, 2)
+        with pytest.raises(AssertionError, match=r"family intersects itself"):
+            Overlay(fam, fam)
 
 
 class TestRecolourIsReorientation:

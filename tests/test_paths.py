@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from schurpaths import (
@@ -9,13 +13,13 @@ from schurpaths import (
     enumerate_ssyt,
     family_from_paths,
     first_tableau,
-    is_nonintersecting,
     paths_to_tableau,
     tableau_to_paths,
     validate_tableau,
     weight,
 )
-from conftest import shapes_up_to
+from conftest import drawn_family_from_paths, shapes_up_to
+from schurpaths.gallery import demo_overlay_small
 
 FIG_SHAPE = SkewShape(Partition((7, 4, 4, 3, 1, 1, 1)), Partition((3, 2, 2, 1)))
 
@@ -113,21 +117,33 @@ class TestEndpoints:
         assert ends.values[10] == -7
 
 
-class TestNonintersecting:
-    def test_disjoint_columns(self):
-        a = LatticePath((0, 1), (), 2)
-        b = LatticePath((1, 1), (), 2)
-        assert is_nonintersecting([a, b])
+# outcomes of the seeded corpus below, taken when paths were checked by drawing them
+ACCEPTED, MEETING = 1761, 206
+CORPUS_DIGEST = "85c3ef58fff6ab751ef8b39d312fc9377ad814f1592ef134208734561a7f6ad5"
 
-    def test_shared_point(self):
-        a = LatticePath((0, 1), (), 2)
-        b = LatticePath((-1, 1), (1,), 2)
-        assert not is_nonintersecting([a, b])
 
-    def test_families_always_nonintersecting(self, sampler):
-        for _ in range(40):
-            fam = sampler.family(3)
-            assert is_nonintersecting(fam.paths)
+def random_path_lists(rng: random.Random, count: int):
+    """``count`` lists of up to 4 paths, each with its N in 0..5: distinct
+    random starts and random heights, a few off the levels or out of order."""
+    for _ in range(count):
+        n = rng.randint(0, 5)
+        paths = []
+        for x in rng.sample(range(-3, 4), rng.randint(0, 4)):
+            lo, hi = (1, max(n, 1)) if rng.random() < 0.9 else (0, n + 1)
+            heights = [rng.randint(lo, hi) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.9:
+                heights.sort()
+            start = (x, 1 if rng.random() < 0.95 else 2)
+            paths.append(LatticePath(start, tuple(heights), n if rng.random() < 0.95 else n + 1))
+        yield paths, n
+
+
+def _outcome(decode, paths, n):
+    """The decoded family as JSON, or the message of the refusal."""
+    try:
+        return decode(paths, n).to_json()
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestFamilyFromPaths:
@@ -167,6 +183,39 @@ class TestFamilyFromPaths:
         )
         with pytest.raises(ValueError, match=r"end points out of order for start point order"):
             family_from_paths(paths, 2)
+
+    def test_disjoint_columns(self):
+        a = LatticePath((0, 1), (), 2)
+        b = LatticePath((1, 1), (), 2)
+        fam = family_from_paths([a, b], 2)
+        assert fam.shape == SkewShape(Partition()) and fam.rows == 2
+
+    def test_shared_point(self):
+        # (-1, 1) -> (0, 1) -> (0, 2) runs through the start of (0, 1) -> (0, 2) -> (1, 2)
+        a = LatticePath((0, 1), (2,), 2)
+        b = LatticePath((-1, 1), (1,), 2)
+        with pytest.raises(ValueError, match=r"^paths share a lattice point$"):
+            family_from_paths([a, b], 2)
+
+    def test_agrees_with_drawing_oracle(self):
+        outcomes = []
+        for paths, n in random_path_lists(random.Random(2001), 4000):
+            got, want = _outcome(family_from_paths, paths, n), _outcome(drawn_family_from_paths, paths, n)
+            assert got == want, (paths, n)
+            outcomes.append(got)
+        assert sum(type(o) is dict for o in outcomes) == ACCEPTED
+        assert outcomes.count("paths share a lattice point") == MEETING
+        assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == CORPUS_DIGEST
+
+    def test_decoding_draws_nothing(self, monkeypatch):
+        obj = demo_overlay_small().white.to_json()
+        obj["N"] = 100000
+        fam = PathFamily.from_json(obj)
+        drawn = []
+        points = LatticePath.points
+        monkeypatch.setattr(LatticePath, "points", lambda p: drawn.append(p) or points(p))
+        assert family_from_paths(fam.paths, 100000).tableau == fam.tableau
+        assert drawn == []
 
 
 class TestJson:

@@ -1,19 +1,35 @@
 """The benchmark's tracer still finds every layer boundary it hooks.
 
 ``perfbench/tracing.py`` rebinds names inside the package's modules (such as
-``overlay.family_from_paths`` and ``identities.to_points``).  Renaming one of
-them breaks ``perfbench/run.py --trace 1``; this test catches that in tier-1
-instead of in the slower benchmark tests.  It runs in a subprocess because
-installing the tracer re-imports the package and patches its classes.
+``cli.recolour`` and ``identities.to_points``).  Renaming one of them breaks
+``perfbench/run.py --trace 1``; this test catches that in tier-1 instead of
+in the slower benchmark tests.  It runs in a subprocess because installing
+the tracer re-imports the package and patches its classes.
+
+A hook on a name that nothing reads any more counts 0 without an error, so
+the test reads every span of ``tracing.SPANS``: each must count calls,
+except those in ``READ_ZERO``, which must count none.
 """
 
+import json
 import pathlib
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+# span -> why the package no longer crosses the boundary that it hooks
+READ_ZERO = {
+    "tableaux.enumerate_ssyt": "skew_schur expands by the branching rule, not by tableaux",
+    "overlay.enumerate_admissible_matchings":
+        "recolouring_expansion reads admissible_flip_sets, not the matchings",
+    "paths.family_from_paths":
+        "recolour decodes through CircularConfiguration.shapes, so nothing reads "
+        "overlay.family_from_paths",
+}
+
 SCRIPT = """
+import json
 import sys
 from pathlib import Path
 
@@ -36,13 +52,7 @@ prog.overlay.recolour(demo_overlay_small(), paths)
 prog.paths.PathFamily.from_json(demo_overlay_small().white.to_json())
 shape = prog.cli.parse_shape
 prog.identities.recolouring_expansion(shape("1/"), shape("2/"), {(0, "N")})
-for name in ("cli.main", "identities.verify_identity", "schur.skew_schur",
-             "schur.Polynomial.mul", "overlay.trace_bicoloured", "paths.family_from_paths",
-             "identities.recolouring_expansion", "partitions", "overlay.Overlay.init",
-             "paths.tableau_to_paths", "paths.PathFamily.from_json", "schur.skew_schur_eval",
-             "schur.complete_homogeneous_values", "schur.bareiss_determinant",
-             "overlay.all_bicoloured", "overlay.recolour"):
-    assert tracer.counts[name + ".calls"] > 0, name
+print(json.dumps({name: tracer.counts[name + ".calls"] for name in tracing.SPANS}))
 """
 
 
@@ -51,3 +61,6 @@ def test_tracer_installs_and_counts():
         [sys.executable, "-c", SCRIPT], cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert set(READ_ZERO) <= set(calls), set(READ_ZERO) - set(calls)
+    assert {name for name, n in calls.items() if n == 0} == set(READ_ZERO), calls
