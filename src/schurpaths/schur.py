@@ -3,7 +3,8 @@
 Two independent routes, exact arbitrary-precision arithmetic throughout:
 symbolic expansion by the branching rule, one horizontal strip per variable
 (``skew_schur``), and integer evaluation through the determinant of
-complete homogeneous sums by fraction-free elimination (``skew_schur_eval``).
+complete homogeneous sums by fraction-free elimination (``skew_schur_eval``),
+which rescales a row only when it next takes part in a step.
 Summing tableau weights over ``tableaux.enumerate_ssyt`` is a third route,
 kept as the test oracle for the expansion; the test suite cross-checks all
 three on every shape it can enumerate.
@@ -251,36 +252,74 @@ def skew_schur(shape: SkewShape, nvars: int) -> Polynomial:
 
 
 def complete_homogeneous_values(values: Sequence[int], max_degree: int) -> list[int]:
-    """h_d evaluated at ``values`` for d = 0..max_degree."""
+    """h_d evaluated at ``values`` for d = 0..max_degree.
+
+    A zero coordinate leaves every h_d as it is, so it is skipped.
+    """
     h = [0] * (max_degree + 1)
     h[0] = 1
     for v in values:
-        for d in range(1, max_degree + 1):
-            h[d] += v * h[d - 1]
+        if v:
+            for d in range(1, max_degree + 1):
+                h[d] += v * h[d - 1]
     return h
 
 
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
+    """Exact integer determinant by fraction-free elimination (Bareiss, 1968).
+
+    Step k sets m_ij <- (m_ij p_k - m_ik m_kj) / p_{k-1} for i, j > k, with
+    p_k the pivot of step k and p_{-1} = 1; every entry so made is a minor of
+    the matrix.  A row whose multiplier m_ik is 0 would only be scaled by
+    p_k / p_{k-1}, so it is left alone, and ``done[i]`` keeps the number of
+    steps it has had.  The skipped factors telescope: when the row is next
+    updated, its divisor is the pivot of its own last step,
+    ``pivots[done[i]]``, in place of p_{k-1}; as the pivot row or the last
+    entry it is multiplied by p_{k-1} and divided by that pivot.  Both
+    divisions are exact, because each gives the minor that rescaling every
+    row would hold, so the result is the same integer.  A zero test does not
+    depend on a row's scale, so the pivot search reads stale rows, and a swap
+    moves ``done`` with the rows.  A matrix that is not square is refused.
+    """
     n = len(matrix)
+    m = []
+    for i, entries in enumerate(matrix):
+        row = list(entries)
+        if len(row) != n:
+            raise ValueError(f"matrix is not square: row {i} has {len(row)} entries, not {n}")
+        m.append(row)
     if n == 0:
         return 1
-    m = [list(row) for row in matrix]
+    done = [0] * n
+    pivots = [1]  # pivots[k] = p_{k-1}, the divisor of step k
     sign = 1
-    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if pivot is None:
                 return 0
             m[k], m[pivot] = m[pivot], m[k]
+            done[k], done[pivot] = done[pivot], done[k]
             sign = -sign
+        row = m[k]
+        if done[k] < k:
+            prev, base = pivots[k], pivots[done[k]]
+            for j in range(k, n):
+                row[j] = row[j] * prev // base
+        p = row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            r = m[i]
+            f = r[k]
+            if f:
+                base = pivots[done[i]]
+                for j in range(k + 1, n):
+                    r[j] = (r[j] * p - f * row[j]) // base
+                done[i] = k + 1
+        pivots.append(p)
+    last = m[n - 1][n - 1]
+    if done[n - 1] < n - 1:
+        last = last * pivots[n - 1] // pivots[done[n - 1]]
+    return sign * last
 
 
 def h_values(shapes: Sequence[SkewShape], values: Sequence[int]) -> list[int]:
@@ -303,8 +342,11 @@ def skew_schur_eval(
     """Independent oracle: det(h_{outer_i - inner_j - i + j}) at integer values.
 
     ``h`` is ``h_values`` at ``values`` for a set of shapes that includes this
-    one; it is computed for this shape alone when not given.  Out-of-range
-    indices contribute h_d = 0 for d < 0; the empty shape gives 1.
+    one; it is computed for this shape alone when not given, and refused
+    when it stops short of the top degree a_1 - b_r.  Out-of-range indices
+    contribute h_d = 0 for d < 0; the empty shape gives 1.  The matrix has a
+    staircase of zeros in its lower-left corner, which is where
+    ``bareiss_determinant`` skips rows.
     """
     lam, mu = shape.outer, shape.inner
     r = len(lam)
@@ -314,4 +356,7 @@ def skew_schur_eval(
         h = h_values((shape,), values)
     a = [p - i for i, p in enumerate(lam, 1)]
     b = [p - j for j, p in enumerate((*mu, *(0,) * (r - len(mu))), 1)]
+    top = a[0] - b[-1]
+    if len(h) <= top:
+        raise ValueError(f"h has {len(h)} values, but {shape} needs {top + 1} (h_0..h_{top})")
     return bareiss_determinant([[h[x - y] if x >= y else 0 for y in b] for x in a])

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from fractions import Fraction
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -56,6 +57,27 @@ def shapes_up_to(max_outer: int) -> Iterator[SkewShape]:
     for outer in partitions_up_to(max_outer):
         for inner in subpartitions(outer):
             yield SkewShape(outer, inner)
+
+
+def exact_determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Oracle for ``bareiss_determinant``: Gaussian elimination over the
+    rationals, with the first nonzero entry of each column as its pivot."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            for j in range(k, len(m)):
+                m[i][j] -= f * m[k][j]
+    assert det.denominator == 1
+    return int(det)
 
 
 def first_appearance_flip_sets(

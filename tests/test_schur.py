@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurpaths import (
     Partition,
@@ -14,7 +16,7 @@ from schurpaths import (
     skew_schur_eval,
     weight,
 )
-from conftest import FamilySampler, shapes_up_to
+from conftest import FamilySampler, exact_determinant, shapes_up_to
 
 
 def P(*parts):
@@ -192,6 +194,99 @@ class TestHomogeneous:
     def test_single_variable(self):
         assert complete_homogeneous_values((2,), 3) == [1, 2, 4, 8]
 
+    def test_zero_coordinates_change_nothing(self):
+        # the reference: the recurrence over every coordinate, zeros included
+        rng = random.Random(3)
+        for _ in range(200):
+            point = [rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(rng.randint(0, 6))]
+            reference = [1] + [0] * 6
+            for v in point:
+                for d in range(1, 7):
+                    reference[d] += v * reference[d - 1]
+            assert complete_homogeneous_values(point, 6) == reference, point
+        assert complete_homogeneous_values((0, 0, 0), 3) == [1, 0, 0, 0]
+
+
+def _counting_int() -> type:
+    """A new int subclass that counts its multiplications in ``products``;
+    sums, differences and quotients stay in the subclass."""
+
+    class Counted(int):
+        products = 0
+
+        def __mul__(self, other):
+            Counted.products += 1
+            return Counted(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __add__(self, other):
+            return Counted(int(self) + int(other))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            return Counted(int(self) - int(other))
+
+        def __rsub__(self, other):
+            return Counted(int(other) - int(self))
+
+        def __floordiv__(self, other):
+            return Counted(int(self) // int(other))
+
+        def __rfloordiv__(self, other):
+            return Counted(int(other) // int(self))
+
+    return Counted
+
+
+def _stale_swap(rng, n):
+    """Row 1 is a multiple of row 0 up to column 1, so step 0 leaves a zero
+    pivot at (1, 1); rows 2.. have a zero in column 0, so step 0 skips them,
+    and step 1 swaps one of them in without the factor of pivot 0."""
+    m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    if n >= 3:
+        m[0][0] = rng.choice((-3, 2, 5))
+        c = rng.choice((-2, 1, 3))
+        m[1][0], m[1][1] = c * m[0][0], c * m[0][1]
+        for i in range(2, n):
+            m[i][0] = 0
+        m[rng.randrange(2, n)][1] = rng.choice((-4, 7))
+    return m
+
+
+def _singular(rng, n):
+    m = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(n)] for _ in range(n)]
+    if n >= 2:
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        m[j] = [c * x for x in m[i]]
+    return m
+
+
+def _jacobi_trudi_like(rng, n):
+    """Zeros below a random weakly increasing staircase, as in a Jacobi-Trudi
+    matrix, and a few more where h_d vanishes at a point with negatives."""
+    edge = sorted(rng.randint(0, n) for _ in range(n))
+    return [
+        [0 if j < edge[i] - 1 or rng.random() < 0.15 else rng.randint(-20, 20) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+MATRIX_KINDS = {
+    "dense": lambda rng, n: [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)],
+    "mostly-zero": lambda rng, n: [
+        [rng.randint(-4, 4) if rng.random() < 0.2 else 0 for _ in range(n)] for _ in range(n)
+    ],
+    "staircase": _jacobi_trudi_like,
+    "stale-swap": _stale_swap,
+    "singular": _singular,
+    "wide": lambda rng, n: [
+        [rng.choice((0, rng.getrandbits(260) - 2**259)) for _ in range(n)] for _ in range(n)
+    ],
+}
+
 
 class TestBareiss:
     def test_empty(self):
@@ -204,6 +299,78 @@ class TestBareiss:
     def test_zero_pivot_with_swap(self):
         assert bareiss_determinant([[0, 1], [1, 0]]) == -1
         assert bareiss_determinant([[0, 0], [0, 0]]) == 0
+        # Step 0 (pivot 2) skips row 2 and zeroes row 1's next entry, so step 1
+        # swaps in row 2 without its factor 2, and the last entry is stale too.
+        assert bareiss_determinant([[2, 1, 0], [2, 1, 3], [0, 5, 7]]) == -30
+        # Rows skipped across steps with pivots other than 1, then swapped in:
+        # this one goes wrong if a swap leaves the step counts behind, or if
+        # any catch-up or divisor uses the wrong pivot.
+        sparse = [
+            [0, 1, 0, 0, 4],
+            [0, -2, 0, 0, 0],
+            [-2, 0, -1, 0, 0],
+            [-1, 0, 0, 0, 0],
+            [0, 0, 0, -3, -2],
+        ]
+        assert bareiss_determinant(sparse) == exact_determinant(sparse) == 24
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[1, 2, 3], [4, 5, 6]], "row 0 has 3 entries, not 2"),
+            ([[1, 2], [3, 4], [5, 6]], "row 0 has 2 entries, not 3"),
+            ([[1, 2], [3]], "row 1 has 1 entries, not 2"),
+            ([[]], "row 0 has 0 entries, not 1"),
+        ],
+        ids=["2x3", "3x2", "ragged", "empty-row"],
+    )
+    def test_not_square_refused(self, matrix, message):
+        with pytest.raises(ValueError, match=rf"matrix is not square: {message}"):
+            bareiss_determinant(matrix)
+
+    @pytest.mark.parametrize("kind", sorted(MATRIX_KINDS))
+    def test_agrees_with_exact_oracle(self, kind):
+        rng = random.Random(kind)
+        for trial in range(300):
+            n = trial % 9
+            matrix = MATRIX_KINDS[kind](rng, n)
+            before = [list(row) for row in matrix]
+            assert bareiss_determinant(matrix) == exact_determinant(matrix), matrix
+            assert matrix == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**240), 2**240)),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_agrees_with_exact_oracle_on_any_matrix(self, matrix):
+        assert bareiss_determinant(matrix) == exact_determinant(matrix)
+
+    def test_zero_multipliers_cost_no_multiplication(self):
+        # Every entry is counted. Plain Bareiss, which rescales every row at
+        # every step, takes 771 and 571 multiplications on these matrices.
+        for shape, point, pinned in (
+            (SkewShape(P(*(1,) * 11)), (1,) * 11, 111),
+            (SkewShape(P(10, 7, 7, 6, 6, 4, 4, 3, 2, 2), P(4, 3, 3, 1)), (1,) * 11, 217),
+        ):
+            counted = _counting_int()
+            h = h_values((shape,), point)
+            r = len(shape.outer)
+            a = [p - i for i, p in enumerate(shape.outer, 1)]
+            b = [p - j for j, p in enumerate((*shape.inner, *(0,) * (r - len(shape.inner))), 1)]
+            matrix = [[counted(h[x - y] if x >= y else 0) for y in b] for x in a]
+            value = bareiss_determinant(matrix)
+            assert value == skew_schur_eval(shape, point) == exact_determinant(matrix)
+            assert counted.products == pinned, shape
 
 
 class TestEvalOracle:
@@ -222,24 +389,36 @@ class TestEvalOracle:
     def test_agreement_with_enumeration(self):
         # each shape read from its own h-vector and from one built together
         # with a taller shape, whose vector is longer
+        # with negative coordinates too, where h_d can vanish off the
+        # staircase of zeros (h_1(1, -1) = 0)
         tall = SkewShape(P(6, 1, 1, 1, 1, 1, 1))
         rng = random.Random(11)
-        vanishing = 0
+        vanishing = off_staircase = 0
         for shape in shapes_up_to(5):
             for n in (2, 3):
                 poly = skew_schur(shape, n)
-                points = [(0,) * n, (0,) + (3,) * (n - 1)]
+                points = [(0,) * n, (0,) + (3,) * (n - 1), (1, -1) + (0,) * (n - 2)]
                 points += [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(3)]
+                points += [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(3)]
                 for point in points:
+                    own = h_values((shape,), point)
                     shared = h_values((shape, tall), point)
-                    assert len(shared) > len(h_values((shape,), point))
+                    assert len(shared) > len(own)
                     value = skew_schur_eval(shape, point)
                     assert skew_schur_eval(shape, point, shared) == value
                     assert poly.evaluate(point) == value, (shape, point)
                     if shape.max_column_height > n:
                         assert value == 0
                         vanishing += 1
-        assert vanishing > 0
+                    off_staircase += min(point) < 0 and 0 in own
+        assert vanishing > 0 and off_staircase > 0
+
+    def test_short_h_vector_refused(self):
+        shape = SkewShape(P(3, 1), P(1))  # top degree 3 - 0 + 2 - 1 = 4
+        h = h_values((shape,), (2, 5))
+        assert len(h) == 5 and skew_schur_eval(shape, (2, 5), h) == skew_schur_eval(shape, (2, 5))
+        with pytest.raises(ValueError, match=r"h has 4 values, but .* needs 5 \(h_0\.\.h_4\)"):
+            skew_schur_eval(shape, (2, 5), h[:4])
 
     def test_straight_shapes_are_symmetric(self):
         import itertools
