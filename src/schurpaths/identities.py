@@ -296,8 +296,10 @@ def verify_identity(
     ``full`` expands both sides as polynomials; ``multipoint`` evaluates at
     ``points`` seeded random points with entries in 0..4 and requires
     equality at every point, computing the h-values once per point and
-    sharing that one vector across every shape's determinant; ``auto``
-    picks full when the estimated tableau count fits ``AUTO_BUDGET``.
+    sharing that one vector across every shape's determinant (a shape with
+    a column taller than the point's nonzero coordinates is 0 there and
+    needs none); ``auto`` picks full when the estimated tableau count fits
+    ``AUTO_BUDGET``.
     Failures carry the witnessing point.  ``points`` below 1 is refused
     whatever the method.
     """

@@ -331,12 +331,21 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
                     f"start points {owner.start.x},{owner.start.level_name} and "
                     f"{bp.start.x},{bp.start.level_name} trace the same path"
                 )
+        # the arcs must join the start to the end, each one continuing the
+        # walk at its tail or at its head
+        name = f"path from {bp.start.x},{bp.start.level_name}"
+        v = (bp.start.x, ov.top if bp.start.top else 1)
         for arc, colour in bp.arcs:
             if ov._out[colour].get(arc[0]) != arc or arc in ov.doubled_arcs:
                 raise ValueError(f"arc {arc} is not a {colour.value} arc here")
             if arc in flip_arcs:
                 raise ValueError(f"arc {arc} appears in two chosen paths")
+            if v not in arc:
+                raise ValueError(f"{name}: arc {arc} does not continue from {v}")
+            v = arc[1] if v == arc[0] else arc[0]
             flip_arcs[arc] = colour
+        if v != (bp.end.x, ov.top if bp.end.top else 1):
+            raise ValueError(f"{name} stops at {v}, not at its end point {bp.end.x},{bp.end.level_name}")
 
     out = {colour: dict(ov._out[colour]) for colour in Colour}
     for arc, colour in flip_arcs.items():

@@ -11,7 +11,6 @@ test suite.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -127,19 +126,25 @@ class SkewShape:
 
     @property
     def max_column_height(self) -> int:
-        """The tallest column, without visiting the cells.
+        """The tallest column, in one pass over the rows, without visiting the cells.
 
-        Column j has height outer'_j - inner'_j, the number of parts of outer
-        above j less those of inner, and it is tallest at the first column of
-        some row; so a part of 2**40 costs no more than a part of 4.
+        Column j holds the rows i with inner_i <= j < outer_i, and it is
+        tallest at the first column of some row.  With p_i the number of
+        rows whose outer part exceeds inner_i (inner_i = 0 past inner's last
+        part), p_i - i is at most the height of column inner_i, and equal to
+        it when row i is the first with that inner part; so the result is
+        max(0, max_i(p_i - i)), and past inner's last part row len(inner)
+        gives the largest term.  As inner decreases p_i never falls, so one
+        pointer serves every row: a part of 2**40 costs no more than a part
+        of 4.
         """
-        outer, inner = self.outer[::-1], self.inner[::-1]  # increasing
-
-        def height(j: int) -> int:
-            return len(outer) - bisect_right(outer, j) - len(inner) + bisect_right(inner, j)
-
-        starts = {lo for lo, hi in map(self.row_span, range(self.rows)) if lo < hi}
-        return max(map(height, starts), default=0)
+        outer, inner = self.outer, self.inner
+        rows, best, p = len(outer), len(outer) - len(inner), 0
+        for i, lo in enumerate(inner):
+            while p < rows and outer[p] > lo:
+                p += 1
+            best = max(best, p - i)
+        return best
 
     def to_json(self) -> dict:
         return {"outer": list(self.outer), "inner": list(self.inner)}

@@ -4,7 +4,10 @@ Two independent routes, exact arbitrary-precision arithmetic throughout:
 symbolic expansion by the branching rule, one horizontal strip per variable
 (``skew_schur``), and integer evaluation through the determinant of
 complete homogeneous sums by fraction-free elimination (``skew_schur_eval``),
-which rescales a row only when it next takes part in a step.
+which rescales a row only when it next takes part in a step.  Both routes
+read one column rule, ``SkewShape.max_column_height``: a shape with a column
+taller than the variables, or than a point's nonzero coordinates, is 0 with
+no expansion and no determinant.
 Summing tableau weights over ``tableaux.enumerate_ssyt`` is a third route,
 kept as the test oracle for the expansion; the test suite cross-checks all
 three on every shape it can enumerate.
@@ -343,20 +346,25 @@ def skew_schur_eval(
 
     ``h`` is ``h_values`` at ``values`` for a set of shapes that includes this
     one; it is computed for this shape alone when not given, and refused
-    when it stops short of the top degree a_1 - b_r.  Out-of-range indices
-    contribute h_d = 0 for d < 0; the empty shape gives 1.  The matrix has a
-    staircase of zeros in its lower-left corner, which is where
-    ``bareiss_determinant`` skips rows.
+    when it stops short of the top degree a_1 - b_r.  A zero coordinate
+    drops out of s_{outer/inner}, and a column taller than the coordinates
+    left has no filling, so such a shape is 0 at this point with no
+    determinant; as a polynomial identity this holds at every integer
+    point.  Out-of-range indices contribute h_d = 0 for d < 0; the empty
+    shape gives 1.  The matrix has a staircase of zeros in its lower-left
+    corner, which is where ``bareiss_determinant`` skips rows.
     """
     lam, mu = shape.outer, shape.inner
     r = len(lam)
     if r == 0:
         return 1
-    if h is None:
-        h = h_values((shape,), values)
     a = [p - i for i, p in enumerate(lam, 1)]
     b = [p - j for j, p in enumerate((*mu, *(0,) * (r - len(mu))), 1)]
     top = a[0] - b[-1]
-    if len(h) <= top:
+    if h is not None and len(h) <= top:
         raise ValueError(f"h has {len(h)} values, but {shape} needs {top + 1} (h_0..h_{top})")
+    if shape.max_column_height > len(values) - values.count(0):
+        return 0
+    if h is None:
+        h = h_values((shape,), values)
     return bareiss_determinant([[h[x - y] if x >= y else 0 for y in b] for x in a])

@@ -15,6 +15,7 @@ from schurpaths import (
     ProductTerm,
     SkewShape,
     StripSpec,
+    bareiss_determinant,
     border_strip_identity,
     complete_homogeneous_values,
     configuration_from_shapes,
@@ -314,6 +315,33 @@ class TestVerify:
         report = verify_identity(ident, method="multipoint", points=20, seed=42)
         assert report.passed and len(calls) == 20
         assert calls == [p for p, _, _ in report.per_point]
+
+    def test_multipoint_skips_determinants_of_vanishing_shapes(self, monkeypatch):
+        """A shape with a column taller than a point's nonzero coordinates is
+        0 there without a determinant.  Determinants are counted, not timed."""
+        calls = []
+
+        def counting(matrix):
+            calls.append(len(matrix))
+            return bareiss_determinant(matrix)
+
+        monkeypatch.setattr(schur, "bareiss_determinant", counting)
+        white, black = SkewShape(BIG_LAM), SkewShape(BIG_SIG)
+        terms = recolouring_expansion(white, black, [(15, True)])
+        ident = Identity((ProductTerm(white, black),), terms)
+        assert ident.alphabet == 12 and len(ident.all_shapes()) == 6
+        # without the rule 20 points times 6 twelve-row shapes make 120
+        # determinants; one point of the 20 has all 12 coordinates nonzero
+        assert verify_identity(ident, method="multipoint", points=20, seed=42).passed
+        assert len(calls) == 6
+        calls.clear()
+        column = SkewShape(Partition((1,) * 11))
+        false = Identity((ProductTerm(column, SkewShape(P(1))),), (), 11, "s_{1^11} s_1 = 0")
+        passes = sum(
+            verify_identity(false, method="multipoint", points=20, seed=s).passed for s in range(30)
+        )
+        assert passes == 6
+        assert len(calls) == 650
 
     def test_negative_control_drops_term(self):
         ident = border_strip_identity(LAM, MU, STRIPS, alphabet=11)

@@ -264,33 +264,54 @@ class TestRecolour:
         with pytest.raises(ValueError, match=r"endpoint 4,1 is not a coloured point here"):
             recolour(ov, foreign)
 
+    def test_path_not_joining_its_endpoints_rejected(self):
+        ov = demo_overlay_small()
+        pts = ov.configuration.points
+        for p, q in itertools.permutations(pts, 2):
+            with pytest.raises(ValueError, match=rf"^path from {p.x},{p.level_name} stops at "):
+                recolour(ov, [BicolouredPath(p, q, (), ())])
+        for bp in all_bicoloured(ov)[0]:
+            cut = BicolouredPath(bp.start, bp.end, bp.arcs[:-1], bp.trail[:-1])
+            name = f"path from {bp.start.x},{bp.start.level_name}"
+            with pytest.raises(ValueError, match=rf"^{name} stops at "):
+                recolour(ov, [cut])
+            if len(bp.arcs) > 1:
+                backwards = BicolouredPath(bp.start, bp.end, bp.arcs[::-1], bp.trail[::-1])
+                with pytest.raises(ValueError, match=r"does not continue from"):
+                    recolour(ov, [backwards])
+
 
 class TestRecolourInvariants:
-    """Each internal check of recolour fires on a path that no trace gives."""
+    """Each internal check of recolour fires on a path that no trace gives,
+    whose arcs still join its two endpoints."""
 
     def _forged(self, ov, i, j, arcs=()):
         pts = ov.configuration.points
-        return BicolouredPath(pts[i - 1], pts[j - 1], arcs, ())
+        coloured = [
+            (arc, next(c for c in Colour if ov._out[c].get(arc[0]) == arc)) for arc in arcs
+        ]
+        return BicolouredPath(pts[i - 1], pts[j - 1], tuple(coloured), ())
 
     def test_flipped_arc_meets_the_other_family(self):
         ov = demo_overlay_small()
-        # the white arc leaves a point that a black arc also leaves
-        arc = ((0, 4), (0, 5))
-        assert ov._out[Colour.BLACK][arc[0]] != arc
+        # from (3, N) along black, across one white arc, back up black to (1, N)
+        arcs = (((3, 7), (3, 8)), ((2, 7), (3, 7)), ((1, 7), (2, 7)), ((1, 7), (1, 8)))
         with pytest.raises(AssertionError, match=r"recoloured family intersects itself"):
-            recolour(ov, [self._forged(ov, 1, 2, ((arc, Colour.WHITE),))])
+            recolour(ov, [self._forged(ov, 3, 4, arcs)])
 
     def test_unreachable_configuration(self):
-        ov = demo_overlay_small()
+        white = _family((2, 1), (1,), [(3,), (4,)], 4, shift=2)
+        black = _family((4, 1), (1,), [(4, 4, 4), (1,)], 4, shift=1)
+        ov = Overlay(white, black)
+        arcs = (((2, 4), (3, 4)), ((1, 4), (2, 4)), ((0, 4), (1, 4)))
         with pytest.raises(AssertionError, match=r"recoloured configuration has a negative row"):
-            recolour(ov, [self._forged(ov, 1, 8)])
+            recolour(ov, [self._forged(ov, 2, 4, arcs)])
 
     def test_walk_misses_its_end_point(self):
         ov = demo_overlay_small()
-        with pytest.raises(
-            AssertionError, match=re.escape("walk from (2, 1) ends at (6, 8), not at its end point (7, 8)")
-        ):
-            recolour(ov, [self._forged(ov, 1, 2)])
+        message = "walk from (-2, 1) ends at (2, 8), not at its end point (1, 8)"
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            recolour(ov, [self._forged(ov, 4, 5, (((0, 8), (1, 8)),))])
 
     def test_overlay_of_meeting_paths(self):
         t = Tableau(SkewShape(Partition((1, 1))), ((1,), (1,)), 2)

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -274,10 +275,28 @@ class TestSkewShape:
         assert sh.max_column_height == 2
 
     def test_max_column_height_against_cells(self):
-        for sh in shapes_up_to(6):
+        for sh in shapes_up_to(7):
             heights = Counter(j for _, j in sh.cells())
             assert sh.max_column_height == max(heights.values(), default=0), sh
         assert SkewShape(Partition((2**40, 1))).max_column_height == 2
+
+    def test_max_column_height_of_huge_parts(self):
+        """Parts near 2**40, against outer'_j - inner'_j at each row's first
+        column; no cell is visited."""
+        rng = random.Random(40)
+        for _ in range(2000):
+            rows = rng.randint(0, 10)
+            outer = sorted((2**40 + rng.randint(-5, 5) for _ in range(rows)), reverse=True)
+            low = sorted(
+                (rng.choice((0, 2**40 + rng.randint(-8, 2))) for _ in range(rows)), reverse=True
+            )
+            sh = SkewShape(Partition(outer), Partition(map(min, outer, low)))
+
+            def height(j):
+                return sum(p > j for p in sh.outer) - sum(p > j for p in sh.inner)
+
+            starts = [lo for lo, hi in map(sh.row_span, range(sh.rows)) if lo < hi]
+            assert sh.max_column_height == max(map(height, starts), default=0), sh
 
     def test_json_roundtrip(self):
         sh = SkewShape(Partition((3, 2)), Partition((1,)))

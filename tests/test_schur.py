@@ -413,6 +413,32 @@ class TestEvalOracle:
                     off_staircase += min(point) < 0 and 0 in own
         assert vanishing > 0 and off_staircase > 0
 
+    def test_zero_coordinates_drop_out(self):
+        """At a point with a zero coordinate the value is the value with the
+        zeros deleted, and 0 when a column is taller than the coordinates
+        left; a short h is still refused there."""
+        rng = random.Random(19)
+        deleted = vanished = 0
+        for shape in shapes_up_to(5):
+            for n in (2, 3, 4):
+                poly = skew_schur(shape, n)
+                for _ in range(4):
+                    point = [rng.randint(-4, 4) for _ in range(n)]
+                    point[rng.randrange(n)] = 0
+                    value = skew_schur_eval(shape, point)
+                    assert poly.evaluate(point) == value, (shape, point)
+                    rest = [v for v in point if v]
+                    if rest:
+                        assert skew_schur_eval(shape, rest) == value, (shape, point)
+                        deleted += 1
+                    if shape.max_column_height > len(rest):
+                        assert value == 0
+                        vanished += 1
+                        h = h_values((shape,), point)
+                        with pytest.raises(ValueError, match=r"^h has"):
+                            skew_schur_eval(shape, point, h[:-1])
+        assert deleted > 0 and vanished > 0
+
     def test_short_h_vector_refused(self):
         shape = SkewShape(P(3, 1), P(1))  # top degree 3 - 0 + 2 - 1 = 4
         h = h_values((shape,), (2, 5))
