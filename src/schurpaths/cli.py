@@ -179,6 +179,8 @@ def cmd_endpoints(args) -> int:
 
 
 def cmd_recolour(args) -> int:
+    if args.all and args.start is not None:
+        raise ValueError("--start and --all cannot be combined")
     ov = _load_overlay(args.overlay)
     if args.all:
         chosen, _ = all_bicoloured(ov)

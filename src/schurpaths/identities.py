@@ -197,7 +197,8 @@ def recolouring_expansion(
     terms: list[ProductTerm] = []
     for flips in admissible_flip_sets(config, s_idx):
         reoriented = config.reoriented(flips)
-        assert reoriented.admissible, "reorientation broke the orientation balance"
+        if not reoriented.admissible:
+            raise AssertionError("reorientation broke the orientation balance")
         shapes = reoriented.shapes()
         if shapes is None:
             terms.append(ProductTerm(None, None))

@@ -15,8 +15,10 @@ direction, stopping if no coloured arc continues.  Doubled arcs are never
 traversed.  Traces stop exactly at coloured points, two traces from the two
 ends of one bicoloured path retrace each other, and the induced pairing of
 coloured points is a non-crossing perfect matching joining opposite
-orientations.  Recolouring a set of traced paths swaps the colour of their
-arcs and endpoints and is a weight-preserving involution.
+orientations.  The trace is the one rule for a bicoloured path; an overlay
+is never mutated, so it stores each trace.  Recolouring accepts exactly the
+traces, swaps the colour of their arcs and endpoints, and is a
+weight-preserving involution.
 """
 
 from __future__ import annotations
@@ -213,7 +215,8 @@ class Overlay:
             inn: dict[Point, Arc] = {}
             for arc in fam.arcs():
                 tail, head = arc
-                assert tail not in out and head not in inn, "family intersects itself"
+                if tail in out or head in inn:
+                    raise AssertionError("family intersects itself")
                 out[tail] = arc
                 inn[head] = arc
             self._out[colour] = out
@@ -226,6 +229,8 @@ class Overlay:
             white.start_xs(), white.end_xs(), black.start_xs(), black.end_xs()
         )
         self._coloured = {(p.x, p.top): p for p in self.configuration.points}
+        # an overlay is never mutated, so a trace is a function of its start
+        self._traces: dict[tuple[int, int], BicolouredPath] = {}
 
     def on_family(self, colour: Colour, point: Point) -> bool:
         # with two or more levels every path has an arc, so its points are arc ends
@@ -250,8 +255,11 @@ def trace_bicoloured(ov: Overlay, x: int, level: int) -> BicolouredPath:
     point, backward from an end point); on arriving at any lattice point of
     the other family, switch to it and reverse direction.  Stop when no
     coloured arc continues.  The stopping point is always another coloured
-    point; a runtime check enforces this.
+    point; a runtime check enforces this.  The overlay stores the trace under
+    (x, level) and returns it when asked again; a refusal is not stored.
     """
+    if (x, level) in ov._traces:
+        return ov._traces[x, level]
     cp = ov.coloured_point(x, level)
     colour = cp.colour
     direction = 1 if not cp.top else -1
@@ -277,7 +285,7 @@ def trace_bicoloured(ov: Overlay, x: int, level: int) -> BicolouredPath:
         if budget < 0:
             raise AssertionError("bicoloured trace failed to terminate")
     end = ov.coloured_point(v[0], v[1])
-    return BicolouredPath(cp, end, tuple(arcs), tuple(trail))
+    return ov._traces.setdefault((x, level), BicolouredPath(cp, end, tuple(arcs), tuple(trail)))
 
 
 def all_bicoloured(ov: Overlay) -> tuple[tuple[BicolouredPath, ...], Matching]:
@@ -309,43 +317,32 @@ def all_bicoloured(ov: Overlay) -> tuple[tuple[BicolouredPath, ...], Matching]:
 def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
     """Swap the colours of the chosen paths' arcs and endpoints.
 
-    The chosen paths must come from this overlay and be pairwise
-    arc-disjoint.  Returns a new overlay; applying the same selection again
-    restores the original.  The shapes and shifts are decoded from the
-    reoriented configuration, as the expansion decodes its terms, and each
-    row is walked off the recoloured arcs.
+    Each chosen path must be its start point's trace in this overlay, with
+    the start, end and arcs that ``trace_bicoloured`` gives; distinct traces
+    are arc-disjoint, so chosen paths can only clash by repeating one.
+    Returns a new overlay; applying the same selection again restores the
+    original.  The shapes and shifts are decoded from the reoriented
+    configuration, as the expansion decodes its terms, and each row is
+    walked off the recoloured arcs.
     """
     chosen = list(chosen)
     flip_arcs: dict[Arc, Colour] = {}
-    # endpoint index -> the chosen path ending there; a coloured point ends
-    # at most one bicoloured path, so a shared endpoint means the same path
-    flip_indices: dict[int, BicolouredPath] = {}
-    for bp in chosen:
-        for pos in bp.endpoint_positions:
-            if pos not in ov._coloured:
-                x, top = pos
-                raise ValueError(f"endpoint {x},{'N' if top else 1} is not a coloured point here")
-            owner = flip_indices.setdefault(ov._coloured[pos].index, bp)
-            if owner is not bp:
+    # endpoint index -> position in ``chosen`` of its path; a coloured point
+    # ends at most one bicoloured path, so a shared endpoint means the same path
+    flip_indices: dict[int, int] = {}
+    for i, bp in enumerate(chosen):
+        name = f"{bp.start.x},{bp.start.level_name}"
+        trace = trace_bicoloured(ov, bp.start.x, ov.top if bp.start.top else 1)
+        if (bp.start, bp.end, bp.arcs) != (trace.start, trace.end, trace.arcs):
+            raise ValueError(f"path from {name} is not a bicoloured path of this overlay")
+        for p in (bp.start, bp.end):
+            j = flip_indices.setdefault(p.index, i)
+            if j != i:
+                first = chosen[j].start
                 raise ValueError(
-                    f"start points {owner.start.x},{owner.start.level_name} and "
-                    f"{bp.start.x},{bp.start.level_name} trace the same path"
+                    f"start points {first.x},{first.level_name} and {name} trace the same path"
                 )
-        # the arcs must join the start to the end, each one continuing the
-        # walk at its tail or at its head
-        name = f"path from {bp.start.x},{bp.start.level_name}"
-        v = (bp.start.x, ov.top if bp.start.top else 1)
-        for arc, colour in bp.arcs:
-            if ov._out[colour].get(arc[0]) != arc or arc in ov.doubled_arcs:
-                raise ValueError(f"arc {arc} is not a {colour.value} arc here")
-            if arc in flip_arcs:
-                raise ValueError(f"arc {arc} appears in two chosen paths")
-            if v not in arc:
-                raise ValueError(f"{name}: arc {arc} does not continue from {v}")
-            v = arc[1] if v == arc[0] else arc[0]
-            flip_arcs[arc] = colour
-        if v != (bp.end.x, ov.top if bp.end.top else 1):
-            raise ValueError(f"{name} stops at {v}, not at its end point {bp.end.x},{bp.end.level_name}")
+        flip_arcs.update(bp.arcs)
 
     out = {colour: dict(ov._out[colour]) for colour in Colour}
     for arc, colour in flip_arcs.items():

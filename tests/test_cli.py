@@ -493,6 +493,23 @@ REFUSALS = {
         ["recolour", "--overlay", "{overlay}", "--start", "7,N;6,N"],
         "error: start points 7,N and 6,N trace the same path",
     ),
+    # one point named twice: the memoised trace is one object, read twice
+    "start-named-twice": (
+        ["recolour", "--overlay", "{overlay}", "--start", "7,N;7,N"],
+        "error: start points 7,N and 7,N trace the same path",
+    ),
+    "start-or-all-required": (
+        ["recolour", "--overlay", "{overlay}"],
+        "error: --start or --all is required",
+    ),
+    "start-with-all": (
+        ["recolour", "--overlay", "{overlay}", "--start", "7,N", "--all"],
+        "error: --start and --all cannot be combined",
+    ),
+    "start-empty-with-all": (
+        ["recolour", "--overlay", "{overlay}", "--all", "--start", ""],
+        "error: --start and --all cannot be combined",
+    ),
     "point-without-eval": (
         ["compute", "--shape", "2,1/", "--vars", "2", "--point", "1,2"],
         "error: --point is only read with --method eval",

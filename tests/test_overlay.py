@@ -157,6 +157,16 @@ class TestTrace:
         with pytest.raises(ValueError, match=r"^1,N is not a coloured point$"):
             trace_bicoloured(ov, 1, 2)
 
+    def test_trace_is_memoised_but_refusal_is_not(self):
+        ov = demo_overlay_small()
+        bp = trace_bicoloured(ov, 7, 8)
+        assert trace_bicoloured(ov, 7, 8) is bp
+        assert ov._traces == {(7, 8): bp}
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^5,N is not a coloured point$"):
+                trace_bicoloured(ov, 5, 8)
+        assert ov._traces == {(7, 8): bp}
+
     def test_small_golden_pairs(self):
         ov = demo_overlay_small()
         paths, _ = all_bicoloured(ov)
@@ -261,36 +271,88 @@ class TestRecolour:
             _single((1,), (), [1], 8, shift=0), _single((1,), (), [2], 8, shift=5)
         )
         foreign = all_bicoloured(other)[0]
-        with pytest.raises(ValueError, match=r"endpoint 4,1 is not a coloured point here"):
+        with pytest.raises(ValueError, match=r"^5,N is not a coloured point$"):
             recolour(ov, foreign)
+        # -3,N is coloured in both gallery overlays, but by another index
+        (large,) = [q for q in all_bicoloured(demo_overlay_large())[0] if q.start.x == -3]
+        message = "path from -3,N is not a bicoloured path of this overlay"
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            recolour(ov, [large])
 
     def test_path_not_joining_its_endpoints_rejected(self):
         ov = demo_overlay_small()
         pts = ov.configuration.points
+
+        def refused(bp):
+            name = f"{bp.start.x},{bp.start.level_name}"
+            message = rf"^path from {name} is not a bicoloured path of this overlay$"
+            return pytest.raises(ValueError, match=message)
+
         for p, q in itertools.permutations(pts, 2):
-            with pytest.raises(ValueError, match=rf"^path from {p.x},{p.level_name} stops at "):
-                recolour(ov, [BicolouredPath(p, q, (), ())])
+            empty = BicolouredPath(p, q, (), ())
+            with refused(empty):
+                recolour(ov, [empty])
         for bp in all_bicoloured(ov)[0]:
             cut = BicolouredPath(bp.start, bp.end, bp.arcs[:-1], bp.trail[:-1])
-            name = f"path from {bp.start.x},{bp.start.level_name}"
-            with pytest.raises(ValueError, match=rf"^{name} stops at "):
+            with refused(cut):
                 recolour(ov, [cut])
             if len(bp.arcs) > 1:
                 backwards = BicolouredPath(bp.start, bp.end, bp.arcs[::-1], bp.trail[::-1])
-                with pytest.raises(ValueError, match=r"does not continue from"):
+                with refused(backwards):
                     recolour(ov, [backwards])
+
+    def test_every_walk_that_no_trace_gives_is_refused(self):
+        """Walk the coloured arcs of the small gallery overlay, in either
+        direction and through no lattice point twice, from each coloured
+        point to each other one; recolour takes exactly the traces."""
+        ov = demo_overlay_small()
+        coloured = {(p.x, ov.top if p.top else 1): p for p in ov.configuration.points}
+        incident = collections.defaultdict(list)
+        for colour in Colour:
+            for arc in ov._out[colour].values():
+                if arc not in ov.doubled_arcs:
+                    for v in arc:
+                        incident[v].append((arc, colour))
+
+        def walks(start, v, arcs, seen):
+            if arcs and v in coloured:
+                yield BicolouredPath(coloured[start], coloured[v], tuple(arcs), ())
+            for arc, colour in incident[v]:
+                w = arc[1] if v == arc[0] else arc[0]
+                if w not in seen:
+                    yield from walks(start, w, arcs + [(arc, colour)], seen | {w})
+
+        traces = {p: trace_bicoloured(ov, p.x, ov.top if p.top else 1) for p in coloured.values()}
+        untraced = 0
+        for start in coloured:
+            for walk in walks(start, start, [], {start}):
+                trace = traces[walk.start]
+                if (walk.end, walk.arcs) == (trace.end, trace.arcs):
+                    continue
+                untraced += 1
+                with pytest.raises(ValueError, match=r"is not a bicoloured path of this overlay$"):
+                    recolour(ov, [walk])
+        assert untraced == 18
+        assert len(traces) == 16
+        for trace in traces.values():
+            assert recolour(ov, [trace]).configuration == ov.configuration.reoriented(
+                (trace.start.index, trace.end.index)
+            )
 
 
 class TestRecolourInvariants:
     """Each internal check of recolour fires on a path that no trace gives,
-    whose arcs still join its two endpoints."""
+    whose arcs still join its two endpoints, once it is planted as the
+    overlay's stored trace from its start."""
 
     def _forged(self, ov, i, j, arcs=()):
         pts = ov.configuration.points
         coloured = [
             (arc, next(c for c in Colour if ov._out[c].get(arc[0]) == arc)) for arc in arcs
         ]
-        return BicolouredPath(pts[i - 1], pts[j - 1], tuple(coloured), ())
+        forged = BicolouredPath(pts[i - 1], pts[j - 1], tuple(coloured), ())
+        ov._traces[forged.start.x, ov.top if forged.start.top else 1] = forged
+        return forged
 
     def test_flipped_arc_meets_the_other_family(self):
         ov = demo_overlay_small()
