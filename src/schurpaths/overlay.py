@@ -15,10 +15,9 @@ direction, stopping if no coloured arc continues.  Doubled arcs are never
 traversed.  Traces stop exactly at coloured points, two traces from the two
 ends of one bicoloured path retrace each other, and the induced pairing of
 coloured points is a non-crossing perfect matching joining opposite
-orientations.  The trace is the one rule for a bicoloured path; an overlay
-is never mutated, so it stores each trace.  Recolouring accepts exactly the
-traces, swaps the colour of their arcs and endpoints, and is a
-weight-preserving involution.
+orientations.  The trace is the one rule for a bicoloured path: recolouring
+accepts exactly the traces, swaps the colour of their arcs and endpoints,
+and is a weight-preserving involution.
 """
 
 from __future__ import annotations
@@ -229,8 +228,6 @@ class Overlay:
             white.start_xs(), white.end_xs(), black.start_xs(), black.end_xs()
         )
         self._coloured = {(p.x, p.top): p for p in self.configuration.points}
-        # an overlay is never mutated, so a trace is a function of its start
-        self._traces: dict[tuple[int, int], BicolouredPath] = {}
 
     def on_family(self, colour: Colour, point: Point) -> bool:
         # with two or more levels every path has an arc, so its points are arc ends
@@ -255,11 +252,8 @@ def trace_bicoloured(ov: Overlay, x: int, level: int) -> BicolouredPath:
     point, backward from an end point); on arriving at any lattice point of
     the other family, switch to it and reverse direction.  Stop when no
     coloured arc continues.  The stopping point is always another coloured
-    point; a runtime check enforces this.  The overlay stores the trace under
-    (x, level) and returns it when asked again; a refusal is not stored.
+    point; a runtime check enforces this.
     """
-    if (x, level) in ov._traces:
-        return ov._traces[x, level]
     cp = ov.coloured_point(x, level)
     colour = cp.colour
     direction = 1 if not cp.top else -1
@@ -285,7 +279,7 @@ def trace_bicoloured(ov: Overlay, x: int, level: int) -> BicolouredPath:
         if budget < 0:
             raise AssertionError("bicoloured trace failed to terminate")
     end = ov.coloured_point(v[0], v[1])
-    return ov._traces.setdefault((x, level), BicolouredPath(cp, end, tuple(arcs), tuple(trail)))
+    return BicolouredPath(cp, end, tuple(arcs), tuple(trail))
 
 
 def all_bicoloured(ov: Overlay) -> tuple[tuple[BicolouredPath, ...], Matching]:

@@ -493,7 +493,7 @@ REFUSALS = {
         ["recolour", "--overlay", "{overlay}", "--start", "7,N;6,N"],
         "error: start points 7,N and 6,N trace the same path",
     ),
-    # one point named twice: the memoised trace is one object, read twice
+    # one point named twice is two copies of one path
     "start-named-twice": (
         ["recolour", "--overlay", "{overlay}", "--start", "7,N;7,N"],
         "error: start points 7,N and 7,N trace the same path",

@@ -27,6 +27,7 @@ from schurpaths import (
     validate_tableau,
 )
 from conftest import first_appearance_flip_sets
+from schurpaths import overlay
 from schurpaths.gallery import (
     LARGE_RECOLOUR_ENDPOINTS,
     SMALL_RECOLOUR_ENDPOINTS,
@@ -156,16 +157,6 @@ class TestTrace:
         ov = Overlay(w, w)
         with pytest.raises(ValueError, match=r"^1,N is not a coloured point$"):
             trace_bicoloured(ov, 1, 2)
-
-    def test_trace_is_memoised_but_refusal_is_not(self):
-        ov = demo_overlay_small()
-        bp = trace_bicoloured(ov, 7, 8)
-        assert trace_bicoloured(ov, 7, 8) is bp
-        assert ov._traces == {(7, 8): bp}
-        for _ in range(2):
-            with pytest.raises(ValueError, match=r"^5,N is not a coloured point$"):
-                trace_bicoloured(ov, 5, 8)
-        assert ov._traces == {(7, 8): bp}
 
     def test_small_golden_pairs(self):
         ov = demo_overlay_small()
@@ -342,38 +333,42 @@ class TestRecolour:
 
 class TestRecolourInvariants:
     """Each internal check of recolour fires on a path that no trace gives,
-    whose arcs still join its two endpoints, once it is planted as the
-    overlay's stored trace from its start."""
+    whose arcs still join its two endpoints, once ``trace_bicoloured`` is
+    replaced by one that returns it."""
 
-    def _forged(self, ov, i, j, arcs=()):
-        pts = ov.configuration.points
-        coloured = [
-            (arc, next(c for c in Colour if ov._out[c].get(arc[0]) == arc)) for arc in arcs
-        ]
-        forged = BicolouredPath(pts[i - 1], pts[j - 1], tuple(coloured), ())
-        ov._traces[forged.start.x, ov.top if forged.start.top else 1] = forged
+    @pytest.fixture
+    def forge(self, monkeypatch):
+        def forged(ov, i, j, arcs=()):
+            pts = ov.configuration.points
+            coloured = [
+                (arc, next(c for c in Colour if ov._out[c].get(arc[0]) == arc)) for arc in arcs
+            ]
+            bp = BicolouredPath(pts[i - 1], pts[j - 1], tuple(coloured), ())
+            monkeypatch.setattr(overlay, "trace_bicoloured", lambda *_: bp)
+            return bp
+
         return forged
 
-    def test_flipped_arc_meets_the_other_family(self):
+    def test_flipped_arc_meets_the_other_family(self, forge):
         ov = demo_overlay_small()
         # from (3, N) along black, across one white arc, back up black to (1, N)
         arcs = (((3, 7), (3, 8)), ((2, 7), (3, 7)), ((1, 7), (2, 7)), ((1, 7), (1, 8)))
         with pytest.raises(AssertionError, match=r"recoloured family intersects itself"):
-            recolour(ov, [self._forged(ov, 3, 4, arcs)])
+            recolour(ov, [forge(ov, 3, 4, arcs)])
 
-    def test_unreachable_configuration(self):
+    def test_unreachable_configuration(self, forge):
         white = _family((2, 1), (1,), [(3,), (4,)], 4, shift=2)
         black = _family((4, 1), (1,), [(4, 4, 4), (1,)], 4, shift=1)
         ov = Overlay(white, black)
         arcs = (((2, 4), (3, 4)), ((1, 4), (2, 4)), ((0, 4), (1, 4)))
         with pytest.raises(AssertionError, match=r"recoloured configuration has a negative row"):
-            recolour(ov, [self._forged(ov, 2, 4, arcs)])
+            recolour(ov, [forge(ov, 2, 4, arcs)])
 
-    def test_walk_misses_its_end_point(self):
+    def test_walk_misses_its_end_point(self, forge):
         ov = demo_overlay_small()
         message = "walk from (-2, 1) ends at (2, 8), not at its end point (1, 8)"
         with pytest.raises(AssertionError, match=re.escape(message)):
-            recolour(ov, [self._forged(ov, 4, 5, (((0, 8), (1, 8)),))])
+            recolour(ov, [forge(ov, 4, 5, (((0, 8), (1, 8)),))])
 
     def test_overlay_of_meeting_paths(self):
         t = Tableau(SkewShape(Partition((1, 1))), ((1,), (1,)), 2)
