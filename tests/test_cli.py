@@ -220,6 +220,23 @@ class TestIdentityGps:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: alphabet must be positive: {n}\n"
 
+    # stdout of identity-gps, right side in the peel construction's order
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (["--lambda", "10,7,7,6,6,4,4,3,2,2", "--mu", "4,3,3,1", "--strips", "2:(2,3);1:(6,2)",
+              "--vars", "11", "--points", "20", "--seed", "42"],
+             "06bdabbb57dba00d88e5faca465cb28d3d116c1931b4aec0d4689e5209459257"),
+            (["--lambda", "7,6,3", "--mu", "3,1", "--strips", "1:(3,1)", "--method", "full"],
+             "cc9621495a30ab811d6c63a83a2180659d376deafe21fb66a16f4d373a305254"),
+        ],
+        ids=["readme", "empty-leading-column"],
+    )
+    def test_pinned_stdout(self, capsys, argv, sha256):
+        code, out = run(capsys, "identity-gps", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
 
 class TestIdentityTheorem:
     def test_equal_length_example(self, capsys):
