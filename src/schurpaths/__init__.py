@@ -67,7 +67,6 @@ from .identities import (
     estimate_expansion_size,
     minimal_alphabet,
     recolouring_expansion,
-    strips_match_recolouring,
     verify_identity,
 )
 from .render import render_configuration, render_ferrers, render_overlay

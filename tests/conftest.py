@@ -13,13 +13,20 @@ from schurpaths import (
     LatticePath,
     Partition,
     PathFamily,
+    ProductTerm,
     SkewShape,
+    StripSpec,
     Tableau,
+    build_nu,
     canonical_shape,
     enumerate_admissible_matchings,
     family_from_paths,
+    peel_complete,
+    peel_down,
+    peel_up,
     random_tableau,
     tableau_to_paths,
+    to_points,
 )
 
 
@@ -93,6 +100,63 @@ def first_appearance_flip_sets(
             seen.add(flips)
             out.append(flips)
     return out
+
+
+def peel_expansion(
+    lam: Partition, mu: Partition, strips: Sequence[StripSpec]
+) -> list[ProductTerm]:
+    """Oracle for the right side of ``border_strip_identity``: the
+    Gurevich-Pyatov-Saponov expansion, built by peels.
+
+    With nu the strip extension of ``lam`` and n = len(lam), the complete-peel
+    term s_{peel(lam)/mu} * s_{nu/mu} comes first, its families on n - 1 and n
+    rows, then one term per strip, s_{peel_up(lam, r_i - 1, t_i)/mu} *
+    s_{peel_down(nu, r_i)/mu}, on n and n - 1 rows.  Each shape is read as a
+    diagram, in the canonical shift of its family's point sets, as the
+    recolouring decoder reads it.  A peeled shape that does not contain mu
+    raises ``ValueError``.
+    """
+    n = len(lam)
+    nu = build_nu(lam, strips)
+    pairs = [(peel_complete(lam), n - 1, nu, n)]
+    pairs += [(peel_up(lam, s.row - 1, s.boxes), n, peel_down(nu, s.row), n - 1) for s in strips]
+
+    def diagram(outer: Partition, rows: int) -> SkewShape:
+        shape = SkewShape(outer, mu)
+        return canonical_shape(to_points(shape.inner, rows).values, to_points(outer, rows).values)[0]
+
+    return [ProductTerm(diagram(w, rw), diagram(b, rb)) for w, rw, b, rb in pairs]
+
+
+def strip_instances(seed: int, count: int) -> Iterator[tuple[Partition, Partition, list[StripSpec]]]:
+    """Seeded strip identities ``(lam, mu, strips)`` with mu nonempty.
+
+    lam has 2..5 parts of at most 7; the strips satisfy ``build_nu``'s
+    constraints; mu fits inside lam and the complete peel of the strip
+    extension, so the left side exists, but not always inside every peeled
+    shape of the right side.
+    """
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        lam = Partition(sorted((rng.randint(1, 7) for _ in range(rng.randint(2, 5))), reverse=True))
+        rows = [r for r in range(2, len(lam) + 1) if lam.part(r - 1) > lam.part(r)]
+        if not rows:
+            continue
+        chosen = sorted(rng.sample(rows, rng.randint(1, min(3, len(rows)))))
+        nexts = chosen[1:] + [len(lam) + 1]
+        strips = [
+            StripSpec(rng.randint(1, lam.part(r - 1) - lam.part(r)), r, rng.randint(1, nxt - r))
+            for r, nxt in zip(chosen, nexts)
+        ]
+        sigma = peel_complete(build_nu(lam, strips))
+        mu = []
+        for i in range(1, len(sigma) + 1):
+            cap = min(lam.part(i), sigma.part(i), mu[-1] if mu else sigma.part(i))
+            mu.append(rng.randint(0, cap))
+        if Partition(mu):
+            made += 1
+            yield lam, Partition(mu), strips
 
 
 def drawn_family_from_paths(paths: list[LatticePath], alphabet: int) -> PathFamily:

@@ -220,15 +220,22 @@ class TestIdentityGps:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: alphabet must be positive: {n}\n"
 
-    # stdout of identity-gps, right side in the peel construction's order
+    def test_mu_not_fitting_a_peeled_shape_is_usage_error(self, capsys):
+        # mu fits lambda and sigma = (2), but not the complete peel of lambda, which is empty
+        code = main(["identity-gps", "--lambda", "5,1", "--mu", "1", "--strips", "2:(2,1)"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: mu (1,) does not fit inside a peeled shape\n"
+
+    # stdout of identity-gps, right side in recolouring order
     @pytest.mark.parametrize(
         "argv, sha256",
         [
             (["--lambda", "10,7,7,6,6,4,4,3,2,2", "--mu", "4,3,3,1", "--strips", "2:(2,3);1:(6,2)",
               "--vars", "11", "--points", "20", "--seed", "42"],
-             "06bdabbb57dba00d88e5faca465cb28d3d116c1931b4aec0d4689e5209459257"),
+             "68f2ed52dac200478e557f8ba49ff148445f8dbaf3cfa98db34d45d32170ae54"),
             (["--lambda", "7,6,3", "--mu", "3,1", "--strips", "1:(3,1)", "--method", "full"],
-             "cc9621495a30ab811d6c63a83a2180659d376deafe21fb66a16f4d373a305254"),
+             "6968661c8152bf0c6c6aed686050ffb2511505c01d95ba91541143a94a1977b3"),
         ],
         ids=["readme", "empty-leading-column"],
     )

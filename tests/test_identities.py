@@ -1,12 +1,13 @@
 import json
 import math
+from collections import Counter
 import random
 import re
 import time
 
 import pytest
 
-from conftest import first_appearance_flip_sets
+from conftest import first_appearance_flip_sets, peel_expansion, strip_instances
 from schurpaths import (
     CircularConfiguration,
     Colour,
@@ -23,7 +24,6 @@ from schurpaths import (
     minimal_alphabet,
     recolouring_expansion,
     skew_schur_eval,
-    strips_match_recolouring,
     verify_identity,
 )
 from schurpaths import schur
@@ -199,14 +199,15 @@ class TestRecolouringExpansion:
 
 class TestBorderStripIdentity:
     def test_golden_terms(self):
+        # the right side in recolouring order: the complete-peel term comes last
         ident = border_strip_identity(LAM, MU, STRIPS)
         assert [tuple(t.white.outer) for t in ident.lhs] == [tuple(LAM)]
         assert [tuple(t.black.outer) for t in ident.lhs] == [(8, 7, 7, 5, 4, 4, 2, 1, 1)]
         got = [(tuple(t.white.outer), tuple(t.black.outer)) for t in ident.rhs]
         assert got == [
-            ((6, 6, 5, 5, 3, 3, 2, 1, 1), (10, 9, 8, 8, 6, 5, 5, 3, 2, 2)),
             ((8, 7, 7, 6, 6, 4, 4, 3, 2, 2), (10, 7, 7, 5, 4, 4, 2, 1, 1)),
             ((6, 6, 5, 5, 4, 4, 4, 3, 2, 2), (10, 9, 8, 8, 6, 4, 2, 1, 1)),
+            ((6, 6, 5, 5, 3, 3, 2, 1, 1), (10, 9, 8, 8, 6, 5, 5, 3, 2, 2)),
         ]
         assert all(t.white.inner == MU and t.black.inner == MU for t in ident.lhs + ident.rhs)
 
@@ -240,13 +241,30 @@ class TestBorderStripIdentity:
         assert all(not t.white.inner and not t.black.inner for t in ident.lhs + ident.rhs)
 
 
-class TestConsistency:
+class TestPeelOracle:
+    """``border_strip_identity`` against the expansion built by peels."""
+
+    @staticmethod
+    def agrees(lam, mu, strips) -> bool:
+        ident = border_strip_identity(lam, mu, strips)
+        return Counter(ident.rhs) == Counter(peel_expansion(Partition(lam), Partition(mu), strips))
+
     def test_running_example(self):
-        assert strips_match_recolouring(LAM, MU, STRIPS)
-        assert strips_match_recolouring(LAM, (), STRIPS)
+        assert self.agrees(LAM, MU, STRIPS)
+        assert self.agrees(LAM, (), STRIPS)
+
+    def test_empty_leading_column(self):
+        # the peels give (5,2)/(3,1) and (7,6)/(3,1), whose first columns are
+        # empty; as diagrams they are (4,1)/(2) and (6,5)/(2)
+        strips = [StripSpec(1, 3, 1)]
+        assert [(t.white, t.black) for t in peel_expansion(P(7, 6, 3), P(3, 1), strips)] == [
+            (SkewShape(P(4, 1), P(2)), SkewShape(P(7, 6, 4), P(3, 1))),
+            (SkewShape(P(5, 3, 3), P(3, 1)), SkewShape(P(6, 5), P(2))),
+        ]
+        assert self.agrees(P(7, 6, 3), P(3, 1), strips)
 
     def test_single_strip_small(self):
-        assert strips_match_recolouring(P(3, 1), (), [StripSpec(1, 2, 1)])
+        assert self.agrees(P(3, 1), (), [StripSpec(1, 2, 1)])
         ident = border_strip_identity(P(3, 1), (), [StripSpec(1, 2, 1)], alphabet=3)
         assert verify_identity(ident, method="full").passed
 
@@ -257,9 +275,37 @@ class TestConsistency:
                 gap = lam.part(r - 1) - lam.part(r)
                 for t in range(1, gap + 1):
                     for m in range(1, len(lam) - r + 2):
-                        assert strips_match_recolouring(lam, (), [StripSpec(t, r, m)])
+                        assert self.agrees(lam, (), [StripSpec(t, r, m)])
                         checked += 1
         assert checked >= 20
+
+    def test_seeded_sweep_with_mu(self):
+        agreed = 0
+        for lam, mu, strips in strip_instances(seed=5, count=800):
+            try:
+                expected = peel_expansion(lam, mu, strips)
+            except ValueError:
+                continue
+            rhs = border_strip_identity(lam, mu, strips).rhs
+            assert Counter(rhs) == Counter(expected)
+            # in recolouring order the complete-peel term comes last
+            assert rhs[-1] == expected[0]
+            agreed += 1
+        assert agreed >= 400
+
+    def test_refuses_exactly_where_mu_does_not_fit(self):
+        refused = 0
+        for lam, mu, strips in strip_instances(seed=5, count=800):
+            try:
+                peel_expansion(lam, mu, strips)
+            except ValueError:
+                message = f"mu {tuple(mu)} does not fit inside a peeled shape"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    border_strip_identity(lam, mu, strips)
+                refused += 1
+            else:
+                border_strip_identity(lam, mu, strips)
+        assert refused >= 100
 
 
 class TestVerify:
