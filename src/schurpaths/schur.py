@@ -150,9 +150,6 @@ class Polynomial:
         bits = max(self._bits, other._bits)
         return self.nvars == other.nvars and self._at(bits) == other._at(bits)
 
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {len(self._terms)} terms)"
 
@@ -282,7 +279,8 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     divisions are exact, because each gives the minor that rescaling every
     row would hold, so the result is the same integer.  A zero test does not
     depend on a row's scale, so the pivot search reads stale rows, and a swap
-    moves ``done`` with the rows.  A matrix that is not square is refused.
+    moves ``done`` with the rows.  A matrix that is not square, or has an
+    entry that is not an ``int``, is refused: the divisions floor a float.
     """
     n = len(matrix)
     m = []
@@ -290,6 +288,9 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
         row = list(entries)
         if len(row) != n:
             raise ValueError(f"matrix is not square: row {i} has {len(row)} entries, not {n}")
+        for j, x in enumerate(row):
+            if not isinstance(x, int):
+                raise ValueError(f"matrix entry ({i}, {j}) is not an integer: {x!r}")
         m.append(row)
     if n == 0:
         return 1

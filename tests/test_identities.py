@@ -241,7 +241,7 @@ class TestBorderStripIdentity:
         assert all(not t.white.inner and not t.black.inner for t in ident.lhs + ident.rhs)
 
 
-class TestPeelOracle:
+class TestConsistency:
     """``border_strip_identity`` against the expansion built by peels."""
 
     @staticmethod
