@@ -122,8 +122,8 @@ def peel_expansion(
     pairs += [(peel_up(lam, s.row - 1, s.boxes), n, peel_down(nu, s.row), n - 1) for s in strips]
 
     def diagram(outer: Partition, rows: int) -> SkewShape:
-        shape = SkewShape(outer, mu)
-        return canonical_shape(to_points(shape.inner, rows).values, to_points(outer, rows).values)[0]
+        SkewShape(outer, mu)  # refuses an outer shape that does not contain mu
+        return canonical_shape(to_points(mu, rows).values, to_points(outer, rows).values)[0]
 
     return [ProductTerm(diagram(w, rw), diagram(b, rb)) for w, rw, b, rb in pairs]
 
