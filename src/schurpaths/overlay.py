@@ -12,10 +12,13 @@ A bicoloured path is traced from a coloured point by walking its own family's
 path away from the endpoint; whenever the walk arrives at a lattice point
 that lies on the other family, it must switch to that family and reverse
 direction, stopping if no coloured arc continues.  Doubled arcs are never
-traversed.  Traces stop exactly at coloured points, two traces from the two
-ends of one bicoloured path retrace each other, and the induced pairing of
-coloured points is a non-crossing perfect matching joining opposite
-orientations.  The trace is the one rule for a bicoloured path: recolouring
+traversed.  A step reads three things, each from a map looked up once per
+trace: the arc that leaves the point in the current family and direction,
+whether that arc is doubled, and whether its far end is a tail or a head of
+an arc of the other family.  Traces stop exactly at coloured points, two
+traces from the two ends of one bicoloured path retrace each other, and the
+induced pairing of coloured points is a non-crossing perfect matching
+joining opposite orientations.  The trace is the one rule for a bicoloured path: recolouring
 accepts exactly the traces, swaps the colour of their arcs and endpoints,
 and is a weight-preserving involution.
 """
@@ -35,6 +38,11 @@ from .tableaux import Tableau
 class Colour(Enum):
     WHITE = "white"
     BLACK = "black"
+
+    # Members are singletons and ``==`` compares them by identity, so the
+    # identity hash agrees with it; ``Enum.__hash__`` is a Python-level call
+    # on every lookup of a per-colour map, and the trace makes one per step.
+    __hash__ = object.__hash__
 
     @property
     def other(self) -> "Colour":
@@ -229,10 +237,6 @@ class Overlay:
         )
         self._coloured = {(p.x, p.top): p for p in self.configuration.points}
 
-    def on_family(self, colour: Colour, point: Point) -> bool:
-        # with two or more levels every path has an arc, so its points are arc ends
-        return point in self._out[colour] or point in self._in[colour]
-
     def coloured_point(self, x: int, level: int) -> ColouredPoint:
         if level == self.top:
             key = (x, True)
@@ -253,28 +257,37 @@ def trace_bicoloured(ov: Overlay, x: int, level: int) -> BicolouredPath:
     the other family, switch to it and reverse direction.  Stop when no
     coloured arc continues.  The stopping point is always another coloured
     point; a runtime check enforces this.
+
+    One step: take the arc of the current family that leaves the current
+    point in the current direction (the arc from it as tail going forward, as
+    head going backward); stop if there is none or it is doubled; else record
+    it with the family's colour and move to its other end.  With two or more
+    levels every path has an arc, so a point lies on a family exactly when it
+    is a tail or a head of one of its arcs.  Each family is held as the tuple
+    (arcs by head, arcs by tail, colour), indexed by the direction as a bool,
+    and a switch swaps the two tuples.
     """
     cp = ov.coloured_point(x, level)
-    colour = cp.colour
-    direction = 1 if not cp.top else -1
+    here = (ov._in[cp.colour], ov._out[cp.colour], cp.colour)
+    there = (ov._in[cp.colour.other], ov._out[cp.colour.other], cp.colour.other)
+    doubled = ov.doubled_arcs
+    forward = not cp.top
     v: Point = (cp.x, ov.top if cp.top else 1)
-    if ov.on_family(colour.other, v):
-        colour, direction = colour.other, -direction
+    if v in there[0] or v in there[1]:
+        here, there, forward = there, here, not forward
     arcs: list[tuple[Arc, Colour]] = []
     trail: list[Point] = [v]
     # one more than the number of coloured arcs, |white - doubled| + |black - doubled|
-    budget = (
-        len(ov._out[Colour.WHITE]) + len(ov._out[Colour.BLACK]) - 2 * len(ov.doubled_arcs) + 1
-    )
+    budget = len(here[1]) + len(there[1]) - 2 * len(doubled) + 1
     while True:
-        arc = (ov._out if direction > 0 else ov._in)[colour].get(v)
-        if arc is None or arc in ov.doubled_arcs:
+        arc = here[forward].get(v)
+        if arc is None or arc in doubled:
             break
-        arcs.append((arc, colour))
-        v = arc[1] if direction > 0 else arc[0]
+        arcs.append((arc, here[2]))
+        v = arc[forward]
         trail.append(v)
-        if ov.on_family(colour.other, v):
-            colour, direction = colour.other, -direction
+        if v in there[0] or v in there[1]:
+            here, there, forward = there, here, not forward
         budget -= 1
         if budget < 0:
             raise AssertionError("bicoloured trace failed to terminate")
@@ -339,12 +352,13 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
         flip_arcs.update(bp.arcs)
 
     out = {colour: dict(ov._out[colour]) for colour in Colour}
+    into = {colour: out[colour.other] for colour in Colour}
     for arc, colour in flip_arcs.items():
         del out[colour][arc[0]]
     for arc, colour in flip_arcs.items():
-        if arc[0] in out[colour.other]:
+        if arc[0] in into[colour]:
             raise AssertionError("recoloured family intersects itself")
-        out[colour.other][arc[0]] = arc
+        into[colour][arc[0]] = arc
 
     config = ov.configuration.reoriented(flip_indices)
     shapes = config.shapes()

@@ -12,18 +12,34 @@ test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index, le
 from typing import Iterable, Iterator, Sequence
+
+
+def integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, converted by ``operator.index``: a
+    float, a string or a ``Fraction`` is refused with a ValueError naming it,
+    not truncated or parsed."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise ValueError(f"{what} must be integers: {bad!r}") from None
 
 
 class Partition(tuple):
     """A weakly decreasing sequence of positive integers.
 
     Trailing zeros are accepted on input and dropped, so ``len`` is always
-    the number of positive parts.
+    the number of positive parts.  A ``Partition`` is returned as it is, since
+    it was checked when it was made.
     """
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        data = tuple(int(p) for p in parts)
+        if type(parts) is Partition:
+            return parts
+        data = integers(parts, "parts")
         for a, b in zip(data, data[1:]):
             if b > a:
                 raise ValueError(f"parts must weakly decrease: {a} before {b}")
@@ -46,9 +62,7 @@ class Partition(tuple):
 
     def contains(self, other: "Partition") -> bool:
         """Containment of Ferrers diagrams, row by row."""
-        if len(other) > len(self):
-            return False
-        return all(other[i] <= self[i] for i in range(len(other)))
+        return len(other) <= len(self) and all(map(le, other, self))
 
 
 @dataclass(frozen=True)
@@ -59,7 +73,7 @@ class PointSet:
     shift: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", integers(self.values, "points"))
         for a, b in zip(self.values, self.values[1:]):
             if b >= a:
                 raise ValueError(f"point set must strictly decrease: {a} then {b}")
@@ -161,10 +175,9 @@ def canonical_shape(starts: Sequence[int], ends: Sequence[int]) -> tuple[SkewSha
     nonnegative, which makes the smallest decoded part zero; with no points
     it is 0 and the shape is empty.
     """
-    shift = min(
-        (x + i for points in (starts, ends) for i, x in enumerate(points, start=1)),
-        default=0,
-    )
+    # the points strictly decrease, so x_i + i weakly decreases in i: the
+    # least is at the last point
+    shift = min((points[-1] + len(points) for points in (starts, ends) if points), default=0)
     outer = PointSet(tuple(ends), shift).partition()
     inner = PointSet(tuple(starts), shift).partition()
     return SkewShape(outer, inner), shift

@@ -117,8 +117,10 @@ class PathFamily:
     @classmethod
     def from_json(cls, obj: dict) -> "PathFamily":
         """The family of ``to_json``.  Each field must have its JSON type, and
-        every number must be a JSON integer, since the constructors would
-        truncate a float and parse a string."""
+        every number must be a JSON integer.  The constructors refuse a float
+        or a string in the shape and the tableau too, but these checks name
+        the field, refuse a bool (which ``operator.index`` takes as 0 or 1),
+        and cover ``N``, ``shift`` and ``rows``, which nothing converts."""
         if type(obj) is not dict:
             raise ValueError("not a JSON object")
         n, shift = _field(obj, "N", int), _field(obj, "shift", int)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator, Sequence
 
 from .partitions import SkewShape
@@ -38,17 +39,28 @@ def validate_tableau(shape: SkewShape, rows: Sequence[Sequence[int]], alphabet: 
     """Check dimensions, entry range, row and column conditions.
 
     Violations are reported with the exact cell, rows must weakly increase
-    left to right and columns strictly increase top to bottom.
+    left to right and columns strictly increase top to bottom.  Entries are
+    converted by ``operator.index``, so a float, a string or a ``Fraction``
+    is refused, not truncated or parsed.
     """
     if alphabet < 1:
         raise ValueError(f"alphabet must be positive: {alphabet}")
-    rows = tuple(tuple(int(v) for v in r) for r in rows)
+    rows = tuple(map(tuple, rows))
     if len(rows) != shape.rows:
         raise ValueError(f"expected {shape.rows} rows, got {len(rows)}")
     for i in range(shape.rows):
         lo, hi = shape.row_span(i)
         if len(rows[i]) != hi - lo:
             raise ValueError(f"row {i} expected {hi - lo} entries, got {len(rows[i])}")
+    try:
+        rows = tuple(tuple(map(index, r)) for r in rows)
+    except TypeError:
+        i, k = next(
+            (i, k) for i, r in enumerate(rows) for k, v in enumerate(r)
+            if not hasattr(type(v), "__index__")
+        )
+        cell = (i, shape.row_span(i)[0] + k)
+        raise ValueError(f"entry {rows[i][k]!r} at {cell} is not an integer") from None
     for i in range(shape.rows):
         lo, hi = shape.row_span(i)
         for j in range(lo, hi):

@@ -9,8 +9,10 @@ from typing import Iterator, Sequence
 import pytest
 
 from schurpaths import (
+    BicolouredPath,
     CircularConfiguration,
     LatticePath,
+    Overlay,
     Partition,
     PathFamily,
     ProductTerm,
@@ -126,6 +128,66 @@ def peel_expansion(
         return canonical_shape(to_points(mu, rows).values, to_points(outer, rows).values)[0]
 
     return [ProductTerm(diagram(w, rw), diagram(b, rb)) for w, rw, b, rb in pairs]
+
+
+def reference_trace(ov: Overlay, x: int, level: int) -> BicolouredPath:
+    """Oracle for ``trace_bicoloured``: the walk with a colour and a
+    direction as its state, which reads the overlay's per-colour maps afresh
+    at every step.
+
+    From a start point walk forward along its own family, from an end point
+    backward; on arriving at a lattice point of the other family, switch to
+    it and reverse; stop before a missing or a doubled arc.
+    """
+
+    def on_family(colour, point) -> bool:
+        return point in ov._out[colour] or point in ov._in[colour]
+
+    cp = ov.coloured_point(x, level)
+    colour = cp.colour
+    direction = 1 if not cp.top else -1
+    v = (cp.x, ov.top if cp.top else 1)
+    if on_family(colour.other, v):
+        colour, direction = colour.other, -direction
+    coloured_arcs = len(ov.white.arcs() ^ ov.black.arcs())
+    arcs, trail = [], [v]
+    while True:
+        arc = (ov._out if direction > 0 else ov._in)[colour].get(v)
+        if arc is None or arc in ov.doubled_arcs:
+            break
+        arcs.append((arc, colour))
+        assert len(arcs) <= coloured_arcs, "the walk repeats an arc"
+        v = arc[1] if direction > 0 else arc[0]
+        trail.append(v)
+        if on_family(colour.other, v):
+            colour, direction = colour.other, -direction
+    return BicolouredPath(cp, ov.coloured_point(*v), tuple(arcs), tuple(trail))
+
+
+def random_overlays(seed: int, count: int) -> Iterator[Overlay]:
+    """Seeded overlays of two ``random_tableau`` families in canonical shift.
+
+    The overlays run through 6..14 rows at N = 8..16, on the grid (6, 8),
+    (8, 10), ..., (14, 16); each family fills a skew shape with parts of at
+    most 12, placed at a shift of -2..2 before it is made canonical.
+    """
+    rng = random.Random(seed)
+    grid = ((6, 8), (8, 10), (10, 12), (12, 14), (14, 16))
+
+    def family(rows: int, alphabet: int) -> PathFamily:
+        while True:
+            outer = sorted((rng.randint(1, 12) for _ in range(rows)), reverse=True)
+            inner = []
+            for o in outer:
+                inner.append(rng.randint(0, min(o, inner[-1]) if inner else o))
+            t = random_tableau(SkewShape(Partition(outer), Partition(inner)), alphabet, rng)
+            if t is not None:
+                fam = tableau_to_paths(t, rng.randint(-2, 2))
+                return family_from_paths(fam.paths, alphabet)
+
+    for i in range(count):
+        rows, alphabet = grid[i % len(grid)]
+        yield Overlay(family(rows, alphabet), family(rows, alphabet))
 
 
 def strip_instances(seed: int, count: int) -> Iterator[tuple[Partition, Partition, list[StripSpec]]]:

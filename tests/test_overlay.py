@@ -1,7 +1,10 @@
 import collections
+import copy
 import itertools
 import math
 import operator
+import pickle
+import random
 import re
 import time
 
@@ -26,7 +29,7 @@ from schurpaths import (
     trace_bicoloured,
     validate_tableau,
 )
-from conftest import first_appearance_flip_sets
+from conftest import first_appearance_flip_sets, random_overlays, reference_trace
 from schurpaths import overlay
 from schurpaths.gallery import (
     LARGE_RECOLOUR_ENDPOINTS,
@@ -177,6 +180,60 @@ class TestTrace:
         }
         for want in LARGE_RECOLOUR_ENDPOINTS:
             assert want in pairs
+
+
+class TestTraceAgainstReference:
+    """The walk on local maps gives the reference walk's start, end, arcs and
+    trail from every coloured point, and recolouring through its traces twice
+    restores the overlay."""
+
+    @staticmethod
+    def _check(ov, rng):
+        for p in ov.configuration.points:
+            level = ov.top if p.top else 1
+            got, want = trace_bicoloured(ov, p.x, level), reference_trace(ov, p.x, level)
+            assert (got.start, got.end, got.arcs, got.trail) == (
+                want.start, want.end, want.arcs, want.trail
+            )
+        paths, _ = all_bicoloured(ov)
+        if not paths:
+            return
+        chosen = rng.sample(paths, rng.randint(1, len(paths)))
+        once = recolour(ov, chosen)
+        again = [trace_bicoloured(once, q.start.x, once.top if q.start.top else 1) for q in chosen]
+        twice = recolour(once, again)
+        assert twice.white == family_from_paths(ov.white.paths, ov.top)
+        assert twice.black == family_from_paths(ov.black.paths, ov.top)
+
+    @pytest.mark.parametrize("make", [demo_overlay_small, demo_overlay_large])
+    def test_gallery(self, make):
+        self._check(make(), random.Random(3))
+
+    def test_seeded_random_overlays(self):
+        rng = random.Random(7)
+        overlays = list(random_overlays(seed=2201, count=200))
+        assert sum(bool(ov.configuration.points) for ov in overlays) >= 190
+        for ov in overlays:
+            self._check(ov, rng)
+
+
+class TestColour:
+    """``Colour`` hashes by identity, which agrees with ``==`` because its
+    members are singletons; the per-colour maps rest on this."""
+
+    def test_lookup_by_value_finds_member(self):
+        assert Colour("white") is Colour.WHITE
+        assert hash(Colour("white")) == hash(Colour.WHITE)
+        assert {Colour.BLACK: 1}[Colour("black")] == 1
+
+    def test_copies_are_the_member(self):
+        for colour in Colour:
+            assert pickle.loads(pickle.dumps(colour)) is colour
+            assert copy.deepcopy(colour) is colour
+
+    def test_not_equal_to_its_value(self):
+        assert Colour.WHITE != "white"
+        assert Colour.WHITE != Colour.BLACK
 
 
 class TestAllBicoloured:

@@ -1,5 +1,7 @@
 import random
+import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from schurpaths import (
     peel_complete,
     peel_down,
     peel_up,
+    skew_schur,
     to_points,
 )
 from conftest import partitions_up_to, shapes_up_to
@@ -44,6 +47,29 @@ class TestValidatePartition:
     def test_negative_part(self):
         with pytest.raises(ValueError, match=r"parts must be nonnegative: -1"):
             Partition((2, -1))
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", Fraction(5, 2), Fraction(2), None])
+    def test_non_integer_part_refused(self, bad):
+        # int() would truncate 2.5, parse "2" and take Fraction(2)
+        with pytest.raises(ValueError, match=rf"^parts must be integers: {re.escape(repr(bad))}$"):
+            Partition([3, bad, 1])
+
+    def test_non_integer_parts_of_a_skew_shape_refused(self):
+        with pytest.raises(ValueError, match=r"^parts must be integers: 3\.5$"):
+            SkewShape([3.5, 1], [1.2])
+        with pytest.raises(ValueError, match=r"^parts must be integers: 2\.9$"):
+            skew_schur(SkewShape([2.9, 1]), 2)
+
+    def test_integer_like_parts_accepted(self):
+        # operator.index takes a bool and any int subclass, as int() did
+        assert Partition([True, False]) == Partition((1,))
+        assert Partition(x for x in (3, 2, 0)) == Partition((3, 2))
+
+    def test_partition_and_shape_keep_a_partition(self):
+        p, q = Partition((4, 2, 1)), Partition((1,))
+        assert Partition(p) is p
+        shape = SkewShape(p, q)
+        assert shape.outer is p and shape.inner is q
 
     def test_part_padding(self):
         p = Partition((3, 1))
@@ -87,6 +113,24 @@ class TestPoints:
     def test_strictly_decreasing_required(self):
         with pytest.raises(ValueError):
             PointSet((3, 3), 0)
+
+    def test_non_integer_point_refused(self):
+        with pytest.raises(ValueError, match=r"^points must be integers: 3\.0$"):
+            PointSet((3.0, 1))
+
+    def test_canonical_shift_is_least_point_plus_row(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            n = rng.randint(0, 6)
+            ends = sorted(rng.sample(range(-12, 12), n), reverse=True)
+            starts = [e - rng.randint(0, 3) for e in ends]
+            if any(a <= b for a, b in zip(starts, starts[1:])):
+                continue
+            shape, shift = canonical_shape(starts, ends)
+            points = list(enumerate(starts, 1)) + list(enumerate(ends, 1))
+            assert shift == min((x + i for i, x in points), default=0)
+            assert to_points(shape.outer, n, shift).values == tuple(ends)
+            assert to_points(shape.inner, n, shift).values == tuple(starts)
 
     @given(
         st.lists(st.integers(min_value=1, max_value=9), max_size=6),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -52,6 +53,22 @@ class TestValidate:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match=r"row 0 expected 2 entries, got 1"):
             validate_tableau(SkewShape(Partition((2,))), [[1]], 2)
+
+    @pytest.mark.parametrize(
+        "shape, rows, message",
+        [
+            (SkewShape(Partition((2,))), [[1.5, 2.7]], r"entry 1\.5 at \(0, 0\)"),
+            (SkewShape(Partition((3, 2)), Partition((1,))), [[1, 2.0], [2, 3]],
+             r"entry 2\.0 at \(0, 2\)"),
+            (SkewShape(Partition((2, 2))), [[1, 1], [2, "3"]], r"entry '3' at \(1, 1\)"),
+            (SkewShape(Partition((1,))), [[Fraction(1)]], r"entry Fraction\(1, 1\) at \(0, 0\)"),
+        ],
+    )
+    def test_non_integer_entry_refused_with_its_cell(self, shape, rows, message):
+        # int() would truncate the float, parse the string and take the Fraction
+        with pytest.raises(ValueError, match=rf"^{message} is not an integer$") as err:
+            validate_tableau(shape, rows, 3)
+        assert not isinstance(err.value, CellViolation)
 
     def test_skew_eight_semistandard(self):
         t = first_tableau(FIG_SHAPE, 8)

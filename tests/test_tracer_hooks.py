@@ -9,6 +9,10 @@ the tracer re-imports the package and patches its classes.
 A hook on a name that nothing reads any more counts 0 without an error, so
 the test reads every span of ``tracing.SPANS``: each must count calls,
 except those in ``READ_ZERO``, which must count none.
+
+The recolouring of the small gallery overlay also pins the work of the
+trace: its count of traces and of the arcs they walk.  A faster walk that
+visited different arcs would change them.
 """
 
 import json
@@ -52,7 +56,9 @@ prog.overlay.recolour(demo_overlay_small(), paths)
 prog.paths.PathFamily.from_json(demo_overlay_small().white.to_json())
 shape = prog.cli.parse_shape
 prog.identities.recolouring_expansion(shape("1/"), shape("2/"), {(0, "N")})
-print(json.dumps({name: tracer.counts[name + ".calls"] for name in tracing.SPANS}))
+calls = {name: tracer.counts[name + ".calls"] for name in tracing.SPANS}
+trace = {key: tracer.counts["overlay.trace_bicoloured." + key] for key in ("calls", "arcs")}
+print(json.dumps({"calls": calls, "trace": trace}))
 """
 
 
@@ -61,6 +67,9 @@ def test_tracer_installs_and_counts():
         [sys.executable, "-c", SCRIPT], cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(proc.stdout)
+    counts = json.loads(proc.stdout)
+    calls = counts["calls"]
     assert set(READ_ZERO) <= set(calls), set(READ_ZERO) - set(calls)
     assert {name for name, n in calls.items() if n == 0} == set(READ_ZERO), calls
+    # all_bicoloured traces the 16 coloured points, recolour retraces the 8 paths
+    assert counts["trace"] == {"calls": 24, "arcs": 174}
