@@ -41,7 +41,7 @@ class Colour(Enum):
 
     # Members are singletons and ``==`` compares them by identity, so the
     # identity hash agrees with it; ``Enum.__hash__`` is a Python-level call
-    # on every lookup of a per-colour map, and the trace makes one per step.
+    # on every per-colour map lookup, three per arc that recolouring flips.
     __hash__ = object.__hash__
 
     @property
