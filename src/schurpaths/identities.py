@@ -181,7 +181,8 @@ def recolouring_expansion(
     matchings of the 2k coloured points.  On an alternating configuration
     they are ``s`` together with any ``|s|`` of the k outward points, so there
     are C(k, |s|) terms, zero terms included, in the order of their first
-    appearance under :func:`enumerate_admissible_matchings`.
+    appearance under :func:`enumerate_admissible_matchings`, each decoded by
+    ``config.shapes(flips)``, which recolours the flips as it reads the points.
     """
     config = configuration_from_shapes(white, black, shifts, rows)
     if not config.alternating:
@@ -198,10 +199,10 @@ def recolouring_expansion(
 
     terms: list[ProductTerm] = []
     for flips in admissible_flip_sets(config, s_idx):
-        reoriented = config.reoriented(flips)
-        if not reoriented.admissible:
+        # a flip swaps a point's orientation, so balance holds iff half the flips are inward
+        if 2 * sum(config.points[i - 1].inward for i in flips) != len(flips):
             raise AssertionError("reorientation broke the orientation balance")
-        shapes = reoriented.shapes()
+        shapes = config.shapes(flips)
         if shapes is None:
             terms.append(ProductTerm(None, None))
         else:

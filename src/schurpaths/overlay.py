@@ -128,30 +128,25 @@ class CircularConfiguration:
     def inward_points(self) -> tuple[ColouredPoint, ...]:
         return tuple(p for p in self.points if p.inward)
 
-    def reoriented(self, indices: Iterable[int]) -> "CircularConfiguration":
-        """Flip the colour (and hence orientation) of the points at ``indices``."""
-        flips = set(indices)
-        pts = tuple(
-            ColouredPoint(p.x, p.top, p.colour.other, p.index) if p.index in flips else p
-            for p in self.points
-        )
-        return CircularConfiguration(pts, self.doubled_top, self.doubled_bottom)
+    def family_xs(self, flips: Iterable[int] = ()) -> dict[Colour, tuple[list[int], list[int]]]:
+        """Each colour's start and end xs, strictly decreasing, white first, with
+        the points at indices ``flips`` recoloured; one pass over the points."""
+        flips = set(flips)
+        xs = {c: ([*self.doubled_bottom], [*self.doubled_top]) for c in Colour}
+        for p in self.points:
+            xs[p.colour.other if p.index in flips else p.colour][p.top].append(p.x)
+        return {c: (sorted(s, reverse=True), sorted(e, reverse=True)) for c, (s, e) in xs.items()}
 
-    def colour_point_xs(self, colour: Colour, top: bool) -> list[int]:
-        base = list(self.doubled_top if top else self.doubled_bottom)
-        base += [p.x for p in self.points if p.top == top and p.colour is colour]
-        return sorted(base, reverse=True)
-
-    def shapes(self) -> tuple[tuple[SkewShape, int], tuple[SkewShape, int]] | None:
-        """Decode the white and black (shape, canonical shift) pairs.
+    def shapes(
+        self, flips: Iterable[int] = ()
+    ) -> tuple[tuple[SkewShape, int], tuple[SkewShape, int]] | None:
+        """Decode the white and black (shape, canonical shift) pairs, ``flips`` recoloured.
 
         Returns None when some row would be negative, i.e. the configuration
         cannot be reached and its product of Schur functions is zero.
         """
         out = []
-        for colour in (Colour.WHITE, Colour.BLACK):
-            ends = self.colour_point_xs(colour, True)
-            starts = self.colour_point_xs(colour, False)
+        for colour, (starts, ends) in self.family_xs(flips).items():
             if len(ends) != len(starts):
                 raise ValueError(
                     f"{colour.value} has {len(ends)} end points but {len(starts)} start points"
@@ -298,8 +293,8 @@ def trace_bicoloured(ov: Overlay, x: int, level: int) -> BicolouredPath:
 def all_bicoloured(ov: Overlay) -> tuple[tuple[BicolouredPath, ...], Matching]:
     """One trace per coloured point, paired into a perfect matching.
 
-    Checks that the two traces of each pair retrace one another and that the
-    matching is non-crossing and joins opposite orientations.
+    Checks that the two traces of each pair retrace one another arc for arc
+    and that the matching is non-crossing and joins opposite orientations.
     """
     traces: dict[int, BicolouredPath] = {}
     for p in ov.configuration.points:
@@ -310,7 +305,7 @@ def all_bicoloured(ov: Overlay) -> tuple[tuple[BicolouredPath, ...], Matching]:
         t = traces[p.index]
         partner = t.end.index
         back = traces[partner]
-        if back.end.index != p.index or back.arc_set() != t.arc_set():
+        if back.end.index != p.index or back.arcs != t.arcs[::-1]:
             raise AssertionError("traces from the two endpoints disagree")
         if p.index < partner:
             paths.append(t)
@@ -328,9 +323,9 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
     the start, end and arcs that ``trace_bicoloured`` gives; distinct traces
     are arc-disjoint, so chosen paths can only clash by repeating one.
     Returns a new overlay; applying the same selection again restores the
-    original.  The shapes and shifts are decoded from the reoriented
-    configuration, as the expansion decodes its terms, and each row is
-    walked off the recoloured arcs.
+    original.  ``shapes`` decodes the shapes and shifts with the endpoints as
+    flips, as the expansion decodes its terms, and each row is walked off the
+    recoloured arcs between the xs that ``family_xs`` gives for those flips.
     """
     chosen = list(chosen)
     flip_arcs: dict[Arc, Colour] = {}
@@ -360,14 +355,13 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
             raise AssertionError("recoloured family intersects itself")
         into[colour][arc[0]] = arc
 
-    config = ov.configuration.reoriented(flip_indices)
-    shapes = config.shapes()
+    shapes = ov.configuration.shapes(flip_indices)
     if shapes is None:
         raise AssertionError("recoloured configuration has a negative row")
     families = []
+    xs = ov.configuration.family_xs(flip_indices)
     for colour, (shape, shift) in zip(Colour, shapes):
-        pairs = zip(config.colour_point_xs(colour, False), config.colour_point_xs(colour, True))
-        rows = [_walk(out[colour], (x, 1), (e, ov.top)) for x, e in pairs]
+        rows = [_walk(out[colour], (x, 1), (e, ov.top)) for x, e in zip(*xs[colour])]
         families.append(PathFamily(Tableau(shape, rows[: shape.rows], ov.top), shift, len(rows)))
     return Overlay(*families)
 
@@ -437,11 +431,15 @@ def admissible_flip_sets(
     injectively and the nested order is the order of first appearance; a
     ``seen`` set drops the repeats across candidates.  A range with no point
     of ``s`` contributes the empty set when its inward and outward points
-    balance, which is when it has a matching, and nothing otherwise.
+    balance, which is when it has a matching, and nothing otherwise.  An
+    index of ``s`` that names no point is refused.
     """
     _require_admissible(config)
     s = frozenset(s)
     inward = [p.inward for p in config.points]
+    for i in s:
+        if not 1 <= i <= len(inward):
+            raise ValueError(f"no coloured point has index {i}")
     # over the first i points: inward minus outward, and the number in s
     balance = list(accumulate((1 if inw else -1 for inw in inward), initial=0))
     in_s = list(accumulate((p.index in s for p in config.points), initial=0))

@@ -11,6 +11,7 @@ import pytest
 from schurpaths import (
     BicolouredPath,
     CircularConfiguration,
+    Colour,
     LatticePath,
     Overlay,
     Partition,
@@ -102,6 +103,56 @@ def first_appearance_flip_sets(
             seen.add(flips)
             out.append(flips)
     return out
+
+
+def recoloured_configuration(config: CircularConfiguration, flips) -> CircularConfiguration:
+    """Oracle for ``CircularConfiguration.shapes(flips)``: the configuration
+    with the points at indices ``flips`` recoloured, built afresh by
+    ``from_point_sets`` from each colour's recoloured start and end xs."""
+    flips = set(flips)
+    xs = {
+        (colour, top): set(config.doubled_top if top else config.doubled_bottom)
+        for colour in Colour
+        for top in (False, True)
+    }
+    for p in config.points:
+        xs[p.colour.other if p.index in flips else p.colour, p.top].add(p.x)
+    white, black = Colour.WHITE, Colour.BLACK
+    return CircularConfiguration.from_point_sets(
+        xs[white, False], xs[white, True], xs[black, False], xs[black, True]
+    )
+
+
+def alternating_configuration(rng: random.Random, k: int) -> CircularConfiguration:
+    """A random configuration with k coloured points on each level, alternating
+    around the circle, plus up to two doubled points per level.
+
+    Colours alternate along each level and agree at both ends of the two
+    levels, which makes the orientations alternate; draws in which some row
+    would be negative are retried.
+    """
+    while True:
+        d = rng.randint(0, 2)
+        span = 2 * (k + d) + 2
+        top = sorted(rng.sample(range(span // 2, span // 2 + span), k + d), reverse=True)
+        bottom = sorted(rng.sample(range(span), k + d))
+        top_dbl, bot_dbl = set(rng.sample(top, d)), set(rng.sample(bottom, d))
+        first = rng.choice(list(Colour))
+        top_colours = [first if i % 2 == 0 else first.other for i in range(k)]
+        last = top_colours[-1]
+        bottom_colours = [last if i % 2 == 0 else last.other for i in range(k)]
+        ends = {c: set(top_dbl) for c in Colour}
+        starts = {c: set(bot_dbl) for c in Colour}
+        for x, c in zip([x for x in top if x not in top_dbl], top_colours):
+            ends[c].add(x)
+        for x, c in zip([x for x in bottom if x not in bot_dbl], bottom_colours):
+            starts[c].add(x)
+        config = CircularConfiguration.from_point_sets(
+            starts[Colour.WHITE], ends[Colour.WHITE], starts[Colour.BLACK], ends[Colour.BLACK]
+        )
+        if config.shapes() is not None:
+            assert config.alternating and len(config.points) == 2 * k
+            return config
 
 
 def peel_expansion(

@@ -7,7 +7,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import first_appearance_flip_sets, peel_expansion, strip_instances
+from conftest import (
+    alternating_configuration,
+    first_appearance_flip_sets,
+    peel_expansion,
+    recoloured_configuration,
+    strip_instances,
+)
 from schurpaths import (
     CircularConfiguration,
     Colour,
@@ -49,51 +55,24 @@ def _side_at(terms, point):
     )
 
 
-def alternating_configuration(rng: random.Random, k: int) -> CircularConfiguration:
-    """A random configuration with k coloured points on each level, alternating
-    around the circle, plus up to two doubled points per level.
-
-    Colours alternate along each level and agree at both ends of the two
-    levels, which makes the orientations alternate; draws in which some row
-    would be negative are retried.
-    """
-    while True:
-        d = rng.randint(0, 2)
-        span = 2 * (k + d) + 2
-        top = sorted(rng.sample(range(span // 2, span // 2 + span), k + d), reverse=True)
-        bottom = sorted(rng.sample(range(span), k + d))
-        top_dbl, bot_dbl = set(rng.sample(top, d)), set(rng.sample(bottom, d))
-        first = rng.choice(list(Colour))
-        top_colours = [first if i % 2 == 0 else first.other for i in range(k)]
-        last = top_colours[-1]
-        bottom_colours = [last if i % 2 == 0 else last.other for i in range(k)]
-        ends = {c: set(top_dbl) for c in Colour}
-        starts = {c: set(bot_dbl) for c in Colour}
-        for x, c in zip([x for x in top if x not in top_dbl], top_colours):
-            ends[c].add(x)
-        for x, c in zip([x for x in bottom if x not in bot_dbl], bottom_colours):
-            starts[c].add(x)
-        config = CircularConfiguration.from_point_sets(
-            starts[Colour.WHITE], ends[Colour.WHITE], starts[Colour.BLACK], ends[Colour.BLACK]
-        )
-        if config.shapes() is not None:
-            assert config.alternating and len(config.points) == 2 * k
-            return config
-
-
 def expansion_of(config: CircularConfiguration, s_points):
     """``recolouring_expansion`` of the shapes whose families give ``config``."""
     (white, sw), (black, sb) = config.shapes()
-    rows = tuple(len(config.colour_point_xs(c, False)) for c in Colour)
+    # a family has one path per start point, doubled or of its colour
+    rows = tuple(
+        len(config.doubled_bottom) + sum(not p.top and p.colour is c for p in config.points)
+        for c in Colour
+    )
     assert configuration_from_shapes(white, black, (sw, sb), rows) == config
     return recolouring_expansion(white, black, s_points, shifts=(sw, sb), rows=rows)
 
 
 def oracle_terms(config: CircularConfiguration, s_idx: set[int]) -> tuple[ProductTerm, ...]:
-    """The expansion built by walking every admissible matching."""
+    """The expansion built by walking every admissible matching, each term
+    decoded from the configuration rebuilt with its flip set recoloured."""
     terms = []
     for flips in first_appearance_flip_sets(config, s_idx):
-        shapes = config.reoriented(flips).shapes()
+        shapes = recoloured_configuration(config, flips).shapes()
         if shapes is None:
             terms.append(ProductTerm(None, None))
         else:
@@ -195,6 +174,24 @@ class TestRecolouringExpansion:
         terms = recolouring_expansion(SkewShape(BIG_LAM), SkewShape(BIG_SIG), s={(15, "N")})
         for t in terms:
             assert t.white.size + t.black.size == lhs_cells
+
+    def test_one_configuration_per_call(self, monkeypatch):
+        """Every term is decoded from the one configuration of the pair, with
+        its flip set recoloured, so no configuration is built per term; on the
+        README pair and the README border strip identity."""
+        built = []
+        post_init = CircularConfiguration.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(CircularConfiguration, "__post_init__", counted)
+        terms = recolouring_expansion(SkewShape(BIG_LAM), SkewShape(BIG_SIG), s={(15, "N")})
+        assert (len(terms), len(built)) == (2, 1)
+        built.clear()
+        identity = border_strip_identity(LAM, MU, STRIPS, alphabet=11)
+        assert (len(identity.rhs), len(built)) == (3, 1)
 
 
 class TestBorderStripIdentity:

@@ -29,7 +29,13 @@ from schurpaths import (
     trace_bicoloured,
     validate_tableau,
 )
-from conftest import first_appearance_flip_sets, random_overlays, reference_trace
+from conftest import (
+    alternating_configuration,
+    first_appearance_flip_sets,
+    random_overlays,
+    recoloured_configuration,
+    reference_trace,
+)
 from schurpaths import overlay
 from schurpaths.gallery import (
     LARGE_RECOLOUR_ENDPOINTS,
@@ -148,12 +154,21 @@ class TestTrace:
         assert len(bp.arcs) == len(white.paths[0].arcs())
 
     def test_reverse_trace_returns(self):
-        ov = demo_overlay_small()
-        for p in ov.configuration.points:
-            bp = trace_bicoloured(ov, p.x, ov.top if p.top else 1)
-            back = trace_bicoloured(ov, bp.end.x, ov.top if bp.end.top else 1)
-            assert back.end.index == p.index
-            assert back.arc_set() == bp.arc_set()
+        """The trace from the far end of a trace is its exact reversal: the
+        same arcs with the same colours, and the same lattice points, in
+        reverse order; on both gallery overlays and seeded random ones."""
+        overlays = [demo_overlay_small(), demo_overlay_large(), *random_overlays(155, 200)]
+        traced = 0
+        for ov in overlays:
+            for p in ov.configuration.points:
+                bp = trace_bicoloured(ov, p.x, ov.top if p.top else 1)
+                back = trace_bicoloured(ov, bp.end.x, ov.top if bp.end.top else 1)
+                assert back.end.index == p.index
+                assert back.arc_set() == bp.arc_set()
+                assert back.arcs == bp.arcs[::-1]
+                assert back.trail == bp.trail[::-1]
+                traced += 1
+        assert traced > 1000
 
     def test_not_coloured(self):
         w = _family((2, 1), (), [[1, 1], [2]], 2)
@@ -383,8 +398,8 @@ class TestRecolour:
         assert untraced == 18
         assert len(traces) == 16
         for trace in traces.values():
-            assert recolour(ov, [trace]).configuration == ov.configuration.reoriented(
-                (trace.start.index, trace.end.index)
+            assert recolour(ov, [trace]).configuration == recoloured_configuration(
+                ov.configuration, (trace.start.index, trace.end.index)
             )
 
 
@@ -449,9 +464,9 @@ class TestRecolourIsReorientation:
                 for bp in chosen
                 for x, top in bp.endpoint_positions
             ]
-            config = ov.configuration.reoriented(flips)
+            config = recoloured_configuration(ov.configuration, flips)
             assert out.configuration.points == config.points
-            assert config.shapes() == (
+            assert ov.configuration.shapes(flips) == config.shapes() == (
                 (out.white.shape, out.white.shift),
                 (out.black.shape, out.black.shift),
             )
@@ -539,6 +554,14 @@ class TestFlipSets:
         with pytest.raises(ValueError, match=r"2 inward of 2 points"):
             admissible_flip_sets(_pattern_config([IN, IN]), {1})
 
+    @pytest.mark.parametrize("index", [0, 17, 99, -1])
+    def test_index_outside_the_circle_refused(self, index):
+        # the small gallery configuration has 16 coloured points
+        cfg = demo_overlay_small().configuration
+        assert len(cfg.points) == 16
+        with pytest.raises(ValueError, match=rf"^no coloured point has index {index}$"):
+            admissible_flip_sets(cfg, {cfg.inward_points()[0].index, index})
+
     def test_forty_points_without_matchings(self):
         # Catalan(20), about 6.6e9 matchings, is out of reach of the oracle
         cfg = _pattern_config([IN, OUT] * 20)
@@ -564,7 +587,8 @@ class TestConfigurationToShapes:
         cfg = demo_overlay_large().configuration
         flips = [p.index for p in cfg.points if (p.x, p.level_name) in
                  {(15, "N"), (10, "1"), (5, "1"), (-8, "1")}]
-        (w, sw), (b, sb) = cfg.reoriented(flips).shapes()
+        assert cfg.shapes(flips) == recoloured_configuration(cfg, flips).shapes()
+        (w, sw), (b, sb) = cfg.shapes(flips)
         assert w == SkewShape(
             Partition((13, 13, 11, 11, 9, 9, 8, 8, 7, 5, 3)),
             Partition((9, 9, 7, 7, 7, 6, 5, 5, 5, 4)),
@@ -574,3 +598,34 @@ class TestConfigurationToShapes:
             Partition((10, 10, 10, 7, 7, 6, 5, 5, 5, 4, 2, 2)),
         )
         assert sw == 1 and sb == 1
+
+    @staticmethod
+    def _check_flip_sets(cfg, s):
+        """``shapes(flips)`` against the rebuilt configuration, for every flip
+        set of ``s``; returns how many there were."""
+        flip_sets = admissible_flip_sets(cfg, s)
+        for flips in flip_sets:
+            assert cfg.shapes(flips) == recoloured_configuration(cfg, flips).shapes()
+        return len(flip_sets)
+
+    @pytest.mark.parametrize("make", [demo_overlay_small, demo_overlay_large])
+    def test_flip_decode_gallery(self, make):
+        cfg = make().configuration
+        inward = [p.index for p in cfg.inward_points()]
+        decoded = sum(
+            self._check_flip_sets(cfg, s)
+            for r in (1, 2)
+            for s in itertools.combinations(inward, r)
+        )
+        assert decoded > len(inward)
+
+    def test_flip_decode_random_alternating(self):
+        rng = random.Random(523)
+        zero = 0
+        for i in range(240):
+            k = 1 + i % 8
+            cfg = alternating_configuration(rng, k)
+            s = {p.index for p in rng.sample(cfg.inward_points(), rng.randint(1, min(k, 3)))}
+            self._check_flip_sets(cfg, s)
+            zero += any(cfg.shapes(f) is None for f in admissible_flip_sets(cfg, s))
+        assert zero > 0  # some flip sets reach a negative row
