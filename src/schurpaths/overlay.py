@@ -130,8 +130,12 @@ class CircularConfiguration:
 
     def family_xs(self, flips: Iterable[int] = ()) -> dict[Colour, tuple[list[int], list[int]]]:
         """Each colour's start and end xs, strictly decreasing, white first, with
-        the points at indices ``flips`` recoloured; one pass over the points."""
+        the points at indices ``flips`` recoloured; one pass over the points.
+        An index that names no point is refused."""
         flips = set(flips)
+        stray = flips.difference(range(1, len(self.points) + 1))
+        if stray:
+            raise ValueError(f"no coloured point has index {min(stray)}")
         xs = {c: ([*self.doubled_bottom], [*self.doubled_top]) for c in Colour}
         for p in self.points:
             xs[p.colour.other if p.index in flips else p.colour][p.top].append(p.x)
@@ -143,7 +147,8 @@ class CircularConfiguration:
         """Decode the white and black (shape, canonical shift) pairs, ``flips`` recoloured.
 
         Returns None when some row would be negative, i.e. the configuration
-        cannot be reached and its product of Schur functions is zero.
+        cannot be reached and its product of Schur functions is zero.  An index
+        of ``flips`` that names no point is refused.
         """
         out = []
         for colour, (starts, ends) in self.family_xs(flips).items():
@@ -207,30 +212,48 @@ class Overlay:
             )
         if white.alphabet < 2:
             raise ValueError("overlays need at least two levels")
+        out = {
+            colour: {arc[0]: arc for arc in fam.arcs()}
+            for colour, fam in ((Colour.WHITE, white), (Colour.BLACK, black))
+        }
+        configuration = CircularConfiguration.from_point_sets(
+            white.start_xs(), white.end_xs(), black.start_xs(), black.end_xs()
+        )
+        self._assemble(white, black, out, configuration)
+
+    def _assemble(
+        self,
+        white: PathFamily,
+        black: PathFamily,
+        out: dict[Colour, dict[Point, Arc]],
+        configuration: CircularConfiguration,
+    ) -> None:
+        """Store the families, the per-colour maps from tail ``out`` and the
+        configuration, and derive the maps from head, ``doubled_arcs`` and the
+        lookup of coloured points; ``__init__`` draws ``out`` from the families,
+        ``recolour`` passes the maps it edited.
+
+        A family of ``rows`` paths from level 1 to the top level ``N`` takes
+        ``shape.size + rows * (N - 1)`` steps, and its paths meet exactly when
+        two steps share a tail or a head.  A map from tail or from head keeps
+        one arc per key, so each must hold one arc per step.
+        """
         self.white = white
         self.black = black
         self.top = white.alphabet
-        self._out: dict[Colour, dict[Point, Arc]] = {}
+        self._out = out
         self._in: dict[Colour, dict[Point, Arc]] = {}
         for colour, fam in ((Colour.WHITE, white), (Colour.BLACK, black)):
-            out: dict[Point, Arc] = {}
-            inn: dict[Point, Arc] = {}
-            for arc in fam.arcs():
-                tail, head = arc
-                if tail in out or head in inn:
-                    raise AssertionError("family intersects itself")
-                out[tail] = arc
-                inn[head] = arc
-            self._out[colour] = out
-            self._in[colour] = inn
-        white_out = self._out[Colour.WHITE]
+            tails = out[colour]
+            heads = self._in[colour] = {arc[1]: arc for arc in tails.values()}
+            if not len(heads) == len(tails) == fam.shape.size + fam.rows * (self.top - 1):
+                raise AssertionError("family intersects itself")
+        white_out = out[Colour.WHITE]
         self.doubled_arcs = frozenset(
-            arc for arc in self._out[Colour.BLACK].values() if white_out.get(arc[0]) == arc
+            arc for arc in out[Colour.BLACK].values() if white_out.get(arc[0]) == arc
         )
-        self.configuration = CircularConfiguration.from_point_sets(
-            white.start_xs(), white.end_xs(), black.start_xs(), black.end_xs()
-        )
-        self._coloured = {(p.x, p.top): p for p in self.configuration.points}
+        self.configuration = configuration
+        self._coloured = {(p.x, p.top): p for p in configuration.points}
 
     def coloured_point(self, x: int, level: int) -> ColouredPoint:
         if level == self.top:
@@ -326,6 +349,9 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
     original.  ``shapes`` decodes the shapes and shifts with the endpoints as
     flips, as the expansion decodes its terms, and each row is walked off the
     recoloured arcs between the xs that ``family_xs`` gives for those flips.
+    The new overlay is assembled from the recoloured maps from tail and the
+    configuration of those xs, as ``Overlay`` assembles one from the maps it
+    draws; no path is drawn.
     """
     chosen = list(chosen)
     flip_arcs: dict[Arc, Colour] = {}
@@ -363,7 +389,10 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
     for colour, (shape, shift) in zip(Colour, shapes):
         rows = [_walk(out[colour], (x, 1), (e, ov.top)) for x, e in zip(*xs[colour])]
         families.append(PathFamily(Tableau(shape, rows[: shape.rows], ov.top), shift, len(rows)))
-    return Overlay(*families)
+    configuration = CircularConfiguration.from_point_sets(*xs[Colour.WHITE], *xs[Colour.BLACK])
+    result = Overlay.__new__(Overlay)
+    result._assemble(*families, out, configuration)
+    return result
 
 
 def _walk(out: dict[Point, Arc], v: Point, end: Point) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ from schurpaths import (
     CircularConfiguration,
     Colour,
     ColouredPoint,
+    LatticePath,
     Overlay,
     Partition,
     PathFamily,
@@ -480,6 +481,105 @@ class TestRecolourIsReorientation:
             self._check_subsets(Overlay(sampler.family(4), sampler.family(4)), limit=32)
 
 
+def _facts(ov):
+    """Every fact an overlay stores, its coloured points read through
+    ``coloured_point``."""
+    points = {
+        (p.x, p.top): ov.coloured_point(p.x, ov.top if p.top else 1)
+        for p in ov.configuration.points
+    }
+    return (ov.top, ov._out, ov._in, ov.doubled_arcs, ov.configuration, points)
+
+
+class TestRecolourAssembly:
+    """The overlay ``recolour`` assembles from its recoloured maps stores the
+    facts that ``Overlay`` derives by drawing the new families, its oracle; a
+    second recolouring of the same paths restores the original's facts."""
+
+    @staticmethod
+    def _check(ov, chosen):
+        once = recolour(ov, chosen)
+        assert _facts(once) == _facts(Overlay(once.white, once.black))
+        again = [trace_bicoloured(once, q.start.x, once.top if q.start.top else 1) for q in chosen]
+        assert _facts(recolour(once, again)) == _facts(ov)
+
+    @pytest.mark.parametrize("make", [demo_overlay_small, demo_overlay_large])
+    def test_gallery_each_path_and_all(self, make):
+        ov = make()
+        paths, _ = all_bicoloured(ov)
+        assert len(paths) >= 5
+        for bp in paths:
+            self._check(ov, [bp])
+        self._check(ov, paths)
+
+    def test_seeded_random_overlays(self):
+        rng = random.Random(2402)
+        checked = 0
+        for ov in random_overlays(seed=2401, count=200):
+            paths, _ = all_bicoloured(ov)
+            if paths:
+                self._check(ov, rng.sample(paths, rng.randint(1, len(paths))))
+                checked += 1
+        assert checked >= 190
+
+    def test_surplus_all_vertical_rows(self):
+        # white: six paths for a shape of two rows, four of them all-vertical
+        shape = SkewShape(Partition((3, 1)))
+        white = tableau_to_paths(validate_tableau(shape, [(1, 2, 4), (3,)], 5), rows=6)
+        black = _family((2, 2, 1), (1,), [(2,), (1, 3), (5,)], 5, shift=1)
+        ov = Overlay(white, black)
+        assert white.rows > white.shape.rows
+        paths, _ = all_bicoloured(ov)
+        assert paths
+        for bp in paths:
+            self._check(ov, [bp])
+        self._check(ov, paths)
+
+    def test_all_on_the_large_gallery_overlay_draws_nothing(self, monkeypatch):
+        """``recolour`` of every path of the large gallery overlay draws no
+        path and builds no overlay through ``Overlay.__init__``."""
+        ov = demo_overlay_large()
+        paths, _ = all_bicoloured(ov)
+        calls = collections.Counter()
+        points, init = LatticePath.points, Overlay.__init__
+
+        def counted_points(self):
+            calls["points"] += 1
+            return points(self)
+
+        def counted_init(self, *args):
+            calls["init"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(LatticePath, "points", counted_points)
+        monkeypatch.setattr(Overlay, "__init__", counted_init)
+        result = recolour(ov, paths)
+        assert result.configuration.points
+        assert (calls["points"], calls["init"]) == (0, 0)
+        Overlay(result.white, result.black)
+        assert calls["init"] == 1 and calls["points"] == result.white.rows + result.black.rows
+
+    @staticmethod
+    def _assemble(white_out=None):
+        """Assemble the overlay of two one-box paths on two levels with the
+        white map from tail ``white_out``, by default the drawn one."""
+        ov = Overlay(_single((1,), (), [1], 2), _single((1,), (), [2], 2, shift=1))
+        assert ov._out[Colour.WHITE] == {(-1, 1): ((-1, 1), (0, 1)), (0, 1): ((0, 1), (0, 2))}
+        out = {Colour.WHITE: white_out or ov._out[Colour.WHITE], Colour.BLACK: ov._out[Colour.BLACK]}
+        Overlay.__new__(Overlay)._assemble(ov.white, ov.black, out, ov.configuration)
+
+    def test_two_arcs_into_one_head_refused(self):
+        into_one_head = {(-1, 1): ((-1, 1), (-1, 2)), (0, 1): ((0, 1), (-1, 2))}
+        with pytest.raises(AssertionError, match=r"^family intersects itself$"):
+            self._assemble(into_one_head)
+        self._assemble()
+
+    def test_arc_lost_to_a_shared_tail_refused(self):
+        # drawn into a map from tail, two arcs from one tail leave one entry
+        with pytest.raises(AssertionError, match=r"^family intersects itself$"):
+            self._assemble({(0, 1): ((0, 1), (1, 1))})
+
+
 def _pattern_config(inward):
     pts = []
     for k, o in enumerate(inward):
@@ -578,6 +678,16 @@ class TestConfigurationToShapes:
         (w, sw), (b, sb) = ov.configuration.shapes()
         assert w == ov.white.shape and sw == ov.white.shift
         assert b == ov.black.shape and sb == ov.black.shift
+
+    @pytest.mark.parametrize("index", [0, -3, 99])
+    def test_flip_naming_no_point_refused(self, index):
+        # the small gallery configuration has 16 coloured points
+        cfg = demo_overlay_small().configuration
+        message = rf"^no coloured point has index {index}$"
+        with pytest.raises(ValueError, match=message):
+            cfg.shapes((index,))
+        with pytest.raises(ValueError, match=message):
+            cfg.family_xs((cfg.points[0].index, index))
 
     def test_zero_when_end_left_of_start(self):
         cfg = CircularConfiguration.from_point_sets({1}, {0}, (), ())
