@@ -54,6 +54,7 @@ from .schur import (
     Polynomial,
     bareiss_determinant,
     complete_homogeneous_values,
+    dominant_terms,
     h_values,
     skew_schur,
     skew_schur_eval,

@@ -150,8 +150,15 @@ class CircularConfiguration:
         cannot be reached and its product of Schur functions is zero.  An index
         of ``flips`` that names no point is refused.
         """
+        return self._decode(self.family_xs(flips))
+
+    @staticmethod
+    def _decode(
+        xs: dict[Colour, tuple[list[int], list[int]]],
+    ) -> tuple[tuple[SkewShape, int], tuple[SkewShape, int]] | None:
+        """The (shape, canonical shift) pairs of the xs that ``family_xs`` gives."""
         out = []
-        for colour, (starts, ends) in self.family_xs(flips).items():
+        for colour, (starts, ends) in xs.items():
             if len(ends) != len(starts):
                 raise ValueError(
                     f"{colour.value} has {len(ends)} end points but {len(starts)} start points"
@@ -227,11 +234,13 @@ class Overlay:
         black: PathFamily,
         out: dict[Colour, dict[Point, Arc]],
         configuration: CircularConfiguration,
+        doubled_arcs: frozenset[Arc] | None = None,
     ) -> None:
         """Store the families, the per-colour maps from tail ``out`` and the
-        configuration, and derive the maps from head, ``doubled_arcs`` and the
-        lookup of coloured points; ``__init__`` draws ``out`` from the families,
-        ``recolour`` passes the maps it edited.
+        configuration, and derive the maps from head, ``doubled_arcs`` unless
+        given, and the lookup of coloured points; ``__init__`` draws ``out``
+        from the families, ``recolour`` passes the maps it edited and the
+        doubled arcs of the overlay it recoloured.
 
         A family of ``rows`` paths from level 1 to the top level ``N`` takes
         ``shape.size + rows * (N - 1)`` steps, and its paths meet exactly when
@@ -248,10 +257,12 @@ class Overlay:
             heads = self._in[colour] = {arc[1]: arc for arc in tails.values()}
             if not len(heads) == len(tails) == fam.shape.size + fam.rows * (self.top - 1):
                 raise AssertionError("family intersects itself")
-        white_out = out[Colour.WHITE]
-        self.doubled_arcs = frozenset(
-            arc for arc in out[Colour.BLACK].values() if white_out.get(arc[0]) == arc
-        )
+        if doubled_arcs is None:
+            white_out = out[Colour.WHITE]
+            doubled_arcs = frozenset(
+                arc for arc in out[Colour.BLACK].values() if white_out.get(arc[0]) == arc
+            )
+        self.doubled_arcs = doubled_arcs
         self.configuration = configuration
         self._coloured = {(p.x, p.top): p for p in configuration.points}
 
@@ -346,12 +357,14 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
     the start, end and arcs that ``trace_bicoloured`` gives; distinct traces
     are arc-disjoint, so chosen paths can only clash by repeating one.
     Returns a new overlay; applying the same selection again restores the
-    original.  ``shapes`` decodes the shapes and shifts with the endpoints as
-    flips, as the expansion decodes its terms, and each row is walked off the
-    recoloured arcs between the xs that ``family_xs`` gives for those flips.
-    The new overlay is assembled from the recoloured maps from tail and the
-    configuration of those xs, as ``Overlay`` assembles one from the maps it
-    draws; no path is drawn.
+    original.  ``family_xs`` gives each colour's xs with the endpoints as
+    flips; they are decoded into shapes and shifts as the expansion decodes
+    its terms, and each row is walked off the recoloured arcs between them.
+    The new overlay is assembled from the recoloured maps from tail, the
+    configuration of those xs and the doubled arcs of ``ov``, as ``Overlay``
+    assembles one from the maps it draws; no path is drawn.  Recolouring
+    keeps the doubled arcs: a trace stops before one, and an arc recoloured
+    onto an arc of its new colour is refused for their shared tail.
     """
     chosen = list(chosen)
     flip_arcs: dict[Arc, Colour] = {}
@@ -381,17 +394,17 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
             raise AssertionError("recoloured family intersects itself")
         into[colour][arc[0]] = arc
 
-    shapes = ov.configuration.shapes(flip_indices)
+    xs = ov.configuration.family_xs(flip_indices)
+    shapes = CircularConfiguration._decode(xs)
     if shapes is None:
         raise AssertionError("recoloured configuration has a negative row")
     families = []
-    xs = ov.configuration.family_xs(flip_indices)
     for colour, (shape, shift) in zip(Colour, shapes):
         rows = [_walk(out[colour], (x, 1), (e, ov.top)) for x, e in zip(*xs[colour])]
         families.append(PathFamily(Tableau(shape, rows[: shape.rows], ov.top), shift, len(rows)))
     configuration = CircularConfiguration.from_point_sets(*xs[Colour.WHITE], *xs[Colour.BLACK])
     result = Overlay.__new__(Overlay)
-    result._assemble(*families, out, configuration)
+    result._assemble(*families, out, configuration, ov.doubled_arcs)
     return result
 
 

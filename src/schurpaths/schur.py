@@ -1,31 +1,42 @@
 """Exact skew Schur computations.
 
 Two independent routes, exact arbitrary-precision arithmetic throughout:
-symbolic expansion by the branching rule, one horizontal strip per variable
-(``skew_schur``), and integer evaluation through the determinant of
-complete homogeneous sums by fraction-free elimination (``skew_schur_eval``),
-which rescales a row only when it next takes part in a step.  Both routes
-read one column rule, ``SkewShape.max_column_height``: a shape with a column
-taller than the variables, or than a point's nonzero coordinates, is 0 with
-no expansion and no determinant.
+symbolic expansion (``skew_schur``), and integer evaluation through the
+determinant of complete homogeneous sums by fraction-free elimination
+(``skew_schur_eval``), which rescales a row only when it next takes part in
+a step.  Both routes read one column rule, ``SkewShape.max_column_height``:
+a shape with a column taller than the variables, or than a point's nonzero
+coordinates, is 0 with no expansion and no determinant.
 Summing tableau weights over ``tableaux.enumerate_ssyt`` is a third route,
 kept as the test oracle for the expansion; the test suite cross-checks all
 three on every shape it can enumerate.
+
+The expansion is symmetric, so it is fixed by its dominant terms, those at
+weakly decreasing exponents, whose coefficients are skew Kostka numbers
+(Macdonald, I.5-6).  ``dominant_terms`` finds them alone by the branching
+rule, one horizontal strip per variable with no strip larger than the one
+before; ``skew_schur`` writes every distinct permutation of each with its
+coefficient; and ``dominant_products`` gives a sum of products of skew
+Schur polynomials at its dominant exponents only, with no product expanded,
+which is how ``identities.verify_identity`` compares the two sides of an
+identity in full.
 
 A ``Polynomial`` keys its terms by one packed int per exponent vector
 (Kronecker substitution, as in Monagan and Pearce, "Sparse polynomial
 multiplication"): the exponent of x_1 sits in the most significant field, so
 integer order on keys is descending lexicographic order on exponents, and a
 product of monomials is a sum of keys.  The constructor packs exponent
-tuples, and ``sorted_terms`` is the one place that unpacks them; ``terms``,
-``leading_exponent``, ``evaluate`` and the JSON form read it.
+tuples, and ``sorted_terms`` unpacks them; ``terms``, ``evaluate`` and the
+JSON form read it, and ``dominant_products`` unpacks only the one key that
+bounds the exponents of each product.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, ValuesView
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, combinations, product
+from operator import lshift
 from typing import Sequence
 
 from .partitions import SkewShape
@@ -118,19 +129,13 @@ class Polynomial:
             terms[key] = c
         return terms
 
-    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         bits = max(self._bits, other._bits)
         terms = dict(self._at(bits))
         for key, coeff in other._at(bits).items():
-            terms[key] = terms.get(key, 0) + sign * coeff
+            terms[key] = terms.get(key, 0) + coeff
         return Polynomial._packed(self.nvars, bits, terms)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._plus(other, -1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -172,10 +177,6 @@ class Polynomial:
             (tuple([k >> s & mask for s in shifts]), terms[k]) for k in sorted(terms, reverse=True)
         ]
 
-    def leading_exponent(self) -> Monomial | None:
-        """The first exponent of ``sorted_terms``, or None for zero."""
-        return next(iter(self.terms), None)
-
     def to_json(self) -> dict:
         return {
             "N": self.nvars,
@@ -189,30 +190,33 @@ class Polynomial:
         )
 
 
-@lru_cache(maxsize=None)
-def skew_schur(shape: SkewShape, nvars: int) -> Polynomial:
-    """s_{outer/inner}(x_1..x_nvars), expanded by the branching rule.
+def dominant_terms(shape: SkewShape, nvars: int) -> Polynomial:
+    """The terms of s_{outer/inner}(x_1..x_nvars) at weakly decreasing exponents.
 
-    After level k, ``states`` maps each shape nu between inner and outer to
-    the polynomial of nu/inner in x_1..x_k.  The cells that level k + 1 adds
-    form a horizontal strip, and its size is the power of x_{k+1}
-    (Macdonald, I.5.11).  A shape is kept only while outer/nu can still be
-    filled by the variables left, so the last level holds outer alone.  The
-    cost follows the number of intermediate shapes and terms, not the number
-    of tableaux.
+    s is symmetric, so these fix it: its coefficient at any exponent is the
+    one at the sorted exponent, a skew Kostka number (Macdonald, I.5-6).
+    They come from the branching rule with each level's strip no larger
+    than the last.  After level k, ``states`` maps each shape nu between
+    inner and outer, with the size d of the strip that ended at nu, to the
+    terms of nu/inner in x_1..x_k whose strips decrease weakly.  The cells
+    that level k + 1 adds form a horizontal strip, and its size is the power
+    of x_{k+1} (Macdonald, I.5.11).  A shape is kept only while outer/nu can
+    still be filled by the variables left, with no strip above d, so the last
+    level holds outer alone.  The cost follows the number of intermediate
+    shapes and dominant terms, not the number of tableaux.
     """
     if nvars < 1:
         raise ValueError(f"alphabet must be positive: {nvars}")
     if shape.max_column_height > nvars:
         return Polynomial(nvars)
     lam = tuple(shape.outer)
-    rows = len(lam)
+    rows, boxes = len(lam), sum(lam)
     inner = tuple(shape.inner.part(i) for i in range(1, rows + 1))
     # Terms are packed keys: a column holds each entry at most once, so no
     # exponent exceeds lam[0], and a strip of size d at level k adds d to the
     # field of x_{k+1}.
     bits = max(lam[0] if lam else 0, 1).bit_length()
-    states: dict[tuple[int, ...], dict[int, int]] = {inner: {0: 1}}
+    states: dict[tuple[tuple[int, ...], int], dict[int, int]] = {(inner, boxes): {0: 1}}
     for k in range(nvars):
         shift = (nvars - 1 - k) * bits
         # After this level row i of nu is at least row i + left of outer, so
@@ -228,27 +232,148 @@ def skew_schur(shape: SkewShape, nvars: int) -> Polynomial:
         reach = lam[: k + 1] + inner[: max(rows - k - 1, 0)]
         free = [i for i in range(rows) if low[i] < lam[i] and low[i] < reach[i]]
         single = list(zip(low))  # the one choice (low[i],) of each row
-        nxt: dict[tuple[int, ...], dict[int, int]] = {}
-        for rho, terms in states.items():
+        nxt: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
+        for (rho, cap), terms in states.items():
             ranges: list = single[:]
             for i in free:
-                ranges[i] = range(max(rho[i], low[i]), min(lam[i], rho[i - 1] if i else lam[0]) + 1)
+                top = min(lam[i], rho[i - 1] if i else lam[0], rho[i] + cap)
+                ranges[i] = range(max(rho[i], low[i]), top + 1)
             size = sum(rho)
-            by_strip = {0: terms}
+            # this strip and the left ones, none above it, must fill the boxes left
+            least = -((size - boxes) // (left + 1))
+            by_strip: dict[int, dict[int, int]] = {0: terms}
             for nu in product(*ranges):
                 d = sum(nu) - size
+                if not least <= d <= cap:
+                    continue
                 add = by_strip.get(d)
                 if add is None:
                     step = d << shift
                     add = by_strip[d] = {e + step: c for e, c in terms.items()}
-                into = nxt.get(nu)
+                into = nxt.get((nu, d))
                 if into is None:
-                    nxt[nu] = dict(add)
+                    nxt[nu, d] = dict(add)
                 else:
                     for e, c in add.items():
                         into[e] = into.get(e, 0) + c
         states = nxt
-    return Polynomial._packed(nvars, bits, states[lam])
+    dominant: dict[int, int] = {}
+    for terms in states.values():
+        for e, c in terms.items():
+            dominant[e] = dominant.get(e, 0) + c
+    return Polynomial._packed(nvars, bits, dominant)
+
+
+def _orderings(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct orderings of the weakly decreasing ``parts``, in descending
+    lexicographic order: each is the previous permutation of the one before."""
+    a, n = list(parts), len(parts)
+    out = [parts]
+    while True:
+        i = n - 2
+        while i >= 0 and a[i] <= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = n - 1
+        while a[j] >= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
+        out.append(tuple(a))
+
+
+@lru_cache(maxsize=None)
+def skew_schur(shape: SkewShape, nvars: int) -> Polynomial:
+    """s_{outer/inner}(x_1..x_nvars): every permutation of each dominant term.
+
+    The orbit of a dominant exponent alpha is every placement of its r
+    nonzero parts: r of the nvars fields, in increasing order, times each
+    distinct ordering of the parts; the zero parts add nothing to a key.
+    Distinct exponents have disjoint orbits, and every key of an orbit takes
+    the coefficient of alpha.
+    """
+    dominant = dominant_terms(shape, nvars)
+    bits = dominant._bits
+    shifts = range((nvars - 1) * bits, -1, -bits)
+    places: dict[int, list[tuple[int, ...]]] = {}  # r -> the r-field shift tuples
+    terms: dict[int, int] = {}
+    for alpha, coeff in dominant.sorted_terms():
+        parts = alpha[: nvars - alpha.count(0)]
+        fields = places.get(len(parts))
+        if fields is None:
+            fields = places[len(parts)] = list(combinations(shifts, len(parts)))
+        orders = _orderings(parts)
+        terms.update(
+            dict.fromkeys([sum(map(lshift, o, f)) for f in fields for o in orders], coeff)
+        )
+    return Polynomial._packed(nvars, bits, terms)
+
+
+def _dominated(rho: Sequence[int]) -> list[tuple[int, ...]]:
+    """The weakly decreasing exponents of ``len(rho)`` fields and degree
+    sum(rho) whose top k parts sum to no more than rho's, for every k.
+
+    Built part by part on a stack: a part is at most the last one and at
+    least the share of the degree left that the fields left must hold.
+    """
+    n, degree = len(rho), sum(rho)
+    bound = list(accumulate(rho))
+    out = []
+    stack: list[tuple[tuple[int, ...], int]] = [((), degree)]
+    while stack:
+        alpha, rest = stack.pop()
+        i = len(alpha)
+        if i == n:
+            out.append(alpha)
+            continue
+        top = min(alpha[-1] if alpha else rest, bound[i] - degree + rest)
+        for a in range(-(-rest // (n - i)), top + 1):
+            stack.append(((*alpha, a), rest - a))
+    return out
+
+
+def dominant_products(pairs: Sequence[tuple[Polynomial, Polynomial]], nvars: int) -> Polynomial:
+    """The terms of the sum of p * q over ``pairs`` at weakly decreasing
+    exponents, for skew Schur polynomials p and q in ``nvars`` variables,
+    with no product expanded.
+
+    The coefficient of p * q at alpha is the sum of q[gamma] * p[alpha - gamma]
+    over the gamma <= alpha in the support of q, taken as the factor with
+    fewer terms.  Keys are packed with fields ``bits + 2`` wide, ``bits`` the
+    widest of all factors: a product exponent fits in ``bits + 1``, and the top
+    bit of each field is a guard.  With every guard set in alpha, alpha - gamma
+    keeps them all exactly when no field of gamma exceeds alpha's, and then
+    clearing them leaves the key of alpha - gamma.
+
+    The alpha tried are the weakly decreasing exponents of the product's
+    degree dominated by the sum of the factors' lex-largest exponents.  That
+    of s_{outer/inner} is its column lengths transposed: filling each column
+    with 1, 2, ... from its top cell is a tableau, and a column holds at most
+    k entries up to k, so the top k parts of any sorted exponent sum to no
+    more than its top k.
+    """
+    pairs = [(p, q) for p, q in pairs if not (p.is_zero or q.is_zero)]
+    if any(f.nvars != nvars for pair in pairs for f in pair):
+        raise ValueError(f"every factor must have {nvars} variables")
+    width = max((max(p._bits, q._bits) for p, q in pairs), default=0) + 2
+    shifts = range((nvars - 1) * width, -1, -width)
+    guard = sum(1 << (s + width - 1) for s in shifts)
+    total: dict[int, int] = {}
+    for p, q in pairs:
+        if len(q._terms) > len(p._terms):
+            p, q = q, p
+        big, small = p._at(width), q._at(width)
+        look, cells = big.get, small.items()
+        # a sum of keys is the key of the sum of their exponents
+        lead, mask = max(big) + max(small), (1 << width) - 1
+        for alpha in _dominated([lead >> s & mask for s in shifts]):
+            a = _pack(alpha, width) | guard
+            coeff = sum(c * look(d ^ guard, 0) for g, c in cells if (d := a - g) & guard == guard)
+            if coeff:
+                key = a ^ guard
+                total[key] = total.get(key, 0) + coeff
+    return Polynomial._packed(nvars, width, total)
 
 
 def complete_homogeneous_values(values: Sequence[int], max_degree: int) -> list[int]:
@@ -263,6 +388,11 @@ def complete_homogeneous_values(values: Sequence[int], max_degree: int) -> list[
             for d in range(1, max_degree + 1):
                 h[d] += v * h[d - 1]
     return h
+
+
+class _IntRows(list):
+    """A square matrix as new lists of ints, the rows ``skew_schur_eval``
+    builds: ``bareiss_determinant`` eliminates in them with no copy or check."""
 
 
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -281,17 +411,22 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     depend on a row's scale, so the pivot search reads stale rows, and a swap
     moves ``done`` with the rows.  A matrix that is not square, or has an
     entry that is not an ``int``, is refused: the divisions floor a float.
+    The ``_IntRows`` of ``skew_schur_eval`` hold ints by construction, so they
+    skip that check, which cost about a tenth of each of its determinants.
     """
     n = len(matrix)
-    m = []
-    for i, entries in enumerate(matrix):
-        row = list(entries)
-        if len(row) != n:
-            raise ValueError(f"matrix is not square: row {i} has {len(row)} entries, not {n}")
-        for j, x in enumerate(row):
-            if not isinstance(x, int):
-                raise ValueError(f"matrix entry ({i}, {j}) is not an integer: {x!r}")
-        m.append(row)
+    if type(matrix) is _IntRows:
+        m = matrix
+    else:
+        m = []
+        for i, entries in enumerate(matrix):
+            row = list(entries)
+            if len(row) != n:
+                raise ValueError(f"matrix is not square: row {i} has {len(row)} entries, not {n}")
+            for j, x in enumerate(row):
+                if not isinstance(x, int):
+                    raise ValueError(f"matrix entry ({i}, {j}) is not an integer: {x!r}")
+            m.append(row)
     if n == 0:
         return 1
     done = [0] * n
@@ -353,7 +488,9 @@ def skew_schur_eval(
     determinant; as a polynomial identity this holds at every integer
     point.  Out-of-range indices contribute h_d = 0 for d < 0; the empty
     shape gives 1.  The matrix has a staircase of zeros in its lower-left
-    corner, which is where ``bareiss_determinant`` skips rows.
+    corner, which is where ``bareiss_determinant`` skips rows.  An h-value
+    that is not an ``int``, as at a point with a float coordinate, is
+    refused: the elimination would floor it.
     """
     lam, mu = shape.outer, shape.inner
     r = len(lam)
@@ -368,4 +505,8 @@ def skew_schur_eval(
         return 0
     if h is None:
         h = h_values((shape,), values)
-    return bareiss_determinant([[h[x - y] if x >= y else 0 for y in b] for x in a])
+    # the matrix holds zeros and h_0..h_top, so checking these checks every entry
+    for d in range(top + 1):
+        if not isinstance(h[d], int):
+            raise ValueError(f"h_{d} is not an integer: {h[d]!r}")
+    return bareiss_determinant(_IntRows([[h[x - y] if x >= y else 0 for y in b] for x in a]))

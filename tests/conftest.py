@@ -12,15 +12,19 @@ from schurpaths import (
     BicolouredPath,
     CircularConfiguration,
     Colour,
+    Identity,
     LatticePath,
     Overlay,
     Partition,
     PathFamily,
+    Polynomial,
     ProductTerm,
     SkewShape,
     StripSpec,
     Tableau,
+    border_strip_identity,
     build_nu,
+    estimate_expansion_size,
     canonical_shape,
     enumerate_admissible_matchings,
     family_from_paths,
@@ -28,6 +32,7 @@ from schurpaths import (
     peel_down,
     peel_up,
     random_tableau,
+    skew_schur,
     tableau_to_paths,
     to_points,
 )
@@ -270,6 +275,72 @@ def strip_instances(seed: int, count: int) -> Iterator[tuple[Partition, Partitio
         if Partition(mu):
             made += 1
             yield lam, Partition(mu), strips
+
+
+def full_by_products(identity: Identity) -> tuple[str, tuple[int, ...] | None, int]:
+    """Oracle for ``verify_identity(identity, method="full")``: its verdict,
+    witness and maxAbs with each side expanded as a polynomial, a sum of
+    ``Polynomial`` products of ``skew_schur`` expansions.  The witness is the
+    lex-largest exponent at which the sides differ, maxAbs the largest
+    coefficient of either side."""
+    n = identity.alphabet
+    sides = []
+    for terms in (identity.lhs, identity.rhs):
+        total = Polynomial(n)
+        for t in terms:
+            if not t.zero:
+                total = total + skew_schur(t.white, n) * skew_schur(t.black, n)
+        sides.append(total.terms)
+    lhs, rhs = sides
+    differ = [e for e in lhs.keys() | rhs.keys() if lhs.get(e, 0) != rhs.get(e, 0)]
+    witness = max(differ, default=None)
+    max_abs = max(map(abs, [*lhs.values(), *rhs.values()]), default=0)
+    return ("pass" if witness is None else "fail"), witness, max_abs
+
+
+def full_instances(seed: int, count: int) -> Iterator[Identity]:
+    """Seeded identities for ``full``, true and corrupted in turn.
+
+    Border strip identities from ``strip_instances`` with at most 5,000
+    tableaux, each as it is, with one right term dropped, with one doubled,
+    and at one more variable; and products of two small shapes with parts of
+    at most 7, set equal to the product in the other order or to another
+    product of the same degree, some with a part of 1, 3 or 7, whose
+    products reach the top bit of their exponent fields.
+    """
+    rng = random.Random(seed)
+    strips = strip_instances(seed, 10**6)
+    sampler = FamilySampler(seed, max_outer=7)
+    made = 0
+    while made < count:
+        kind = made % 6
+        if kind < 4:
+            lam, mu, spec = next(strips)
+            try:
+                ident = border_strip_identity(lam, mu, spec)
+            except ValueError:  # mu does not fit inside a peeled shape
+                continue
+            rhs = list(ident.rhs)
+            i = rng.randrange(len(rhs))
+            n = ident.alphabet
+            if kind == 1:
+                del rhs[i]
+            elif kind == 2:
+                rhs.insert(i, rhs[i])
+            elif kind == 3:
+                n += 1
+            ident = Identity(ident.lhs, tuple(rhs), n, "strips")
+            if estimate_expansion_size(ident) > 5_000:
+                continue
+        else:
+            a, b, c = sampler.shape(), sampler.shape(), sampler.shape()
+            if kind == 4:
+                a = SkewShape(Partition([rng.choice((1, 3, 7))] * rng.randint(1, 2)))
+            lhs = (ProductTerm(a, b),)
+            rhs = (ProductTerm(b, a),) if rng.random() < 0.3 else (ProductTerm(c, b),)
+            ident = Identity(lhs, rhs, rng.randint(1, 4), "products")
+        made += 1
+        yield ident
 
 
 def drawn_family_from_paths(paths: list[LatticePath], alphabet: int) -> PathFamily:

@@ -10,6 +10,8 @@ import pytest
 from conftest import (
     alternating_configuration,
     first_appearance_flip_sets,
+    full_by_products,
+    full_instances,
     peel_expansion,
     recoloured_configuration,
     strip_instances,
@@ -432,6 +434,43 @@ class TestVerify:
         assert report.verdict == "fail"
         assert report.witness == (1, 1, 1, 1)
         assert report.max_abs == 4
+
+    def test_full_agrees_with_the_product_oracle(self):
+        verdicts = Counter()
+        for ident in full_instances(seed=2503, count=330):
+            report = verify_identity(ident, method="full")
+            assert (report.verdict, report.witness, report.max_abs) == full_by_products(ident)
+            verdicts[report.verdict] += 1
+        assert verdicts["pass"] >= 100 and verdicts["fail"] >= 150
+
+    @pytest.mark.parametrize("part", [1, 3, 7])
+    def test_full_witness_at_the_top_bit_of_the_product_field(self, part):
+        """s_p s_p against s_{pp} in two variables: the sides differ first at
+        (2p, 0), whose first part reaches the top bit of the product's
+        exponent field, one bit wider than the factors'."""
+        row = SkewShape(P(part))
+        square = Identity(
+            (ProductTerm(row, row),), (ProductTerm(SkewShape(P(part, part)), SkewShape(P())),), 2
+        )
+        assert 2 * part >= 2 ** schur.skew_schur(row, 2)._bits
+        report = verify_identity(square, method="full")
+        assert report.witness == (2 * part, 0)
+        assert (report.verdict, report.witness, report.max_abs) == full_by_products(square)
+
+    def test_full_multiplies_no_polynomials(self, monkeypatch):
+        calls = []
+        mul = schur.Polynomial.__mul__
+
+        def counted(self, other):
+            calls.append(len(self.coefficients()) * len(other.coefficients()))
+            return mul(self, other)
+
+        monkeypatch.setattr(schur.Polynomial, "__mul__", counted)
+        verdicts = {verify_identity(i, method="full").verdict for i in full_instances(2504, 30)}
+        assert verdicts == {"pass", "fail"}
+        assert calls == []
+        full_by_products(border_strip_identity(P(3, 1), (), [StripSpec(1, 2, 1)]))
+        assert calls  # the guard counts the oracle's products
 
 
 class TestJson:

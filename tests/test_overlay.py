@@ -579,6 +579,39 @@ class TestRecolourAssembly:
         with pytest.raises(AssertionError, match=r"^family intersects itself$"):
             self._assemble({(0, 1): ((0, 1), (1, 1))})
 
+    def test_doubled_arcs_are_the_original_ones(self):
+        """``recolour`` keeps the doubled arcs of the overlay it recolours,
+        which are those found afresh in the recoloured families."""
+        rng = random.Random(2501)
+        doubled = 0
+        for ov in random_overlays(seed=2502, count=200):
+            paths, _ = all_bicoloured(ov)
+            chosen = rng.sample(paths, rng.randint(1, len(paths))) if paths else []
+            once = recolour(ov, chosen)
+            assert once.doubled_arcs is ov.doubled_arcs
+            assert once.doubled_arcs == Overlay(once.white, once.black).doubled_arcs
+            doubled += bool(ov.doubled_arcs)
+        assert doubled >= 100
+
+    def test_family_xs_read_once(self, monkeypatch):
+        """``recolour`` decodes the shapes from the xs it walks between."""
+        calls = []
+        family_xs = CircularConfiguration.family_xs
+
+        def counted(self, flips=()):
+            calls.append(tuple(flips))
+            return family_xs(self, flips)
+
+        ov = demo_overlay_large()
+        paths, _ = all_bicoloured(ov)
+        monkeypatch.setattr(CircularConfiguration, "family_xs", counted)
+        once = recolour(ov, paths[:2])
+        assert len(calls) == 1
+        assert ov.configuration.shapes(calls[0]) == (
+            (once.white.shape, once.white.shift),
+            (once.black.shape, once.black.shift),
+        )
+
 
 def _pattern_config(inward):
     pts = []

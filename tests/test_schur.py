@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from schurpaths import (
     SkewShape,
     bareiss_determinant,
     complete_homogeneous_values,
+    dominant_terms,
     enumerate_ssyt,
     h_values,
     skew_schur,
@@ -61,7 +63,7 @@ class TestPolynomial:
             _one(2) * _one(3)
 
     def test_zero_coefficients_dropped(self):
-        p = Polynomial(1, {(1,): 1}) - Polynomial(1, {(1,): 1})
+        p = Polynomial(1, {(1,): 1}) + Polynomial(1, {(1,): -1})
         assert p.is_zero and p.terms == {}
 
     def test_evaluate(self):
@@ -101,13 +103,6 @@ class TestPolynomial:
     def test_coefficients_are_the_terms_values(self, p):
         assert sorted(p.coefficients()) == sorted(p.terms.values())
 
-    @pytest.mark.parametrize("p", READER_POLYNOMIALS.values(), ids=READER_POLYNOMIALS.keys())
-    def test_leading_exponent(self, p):
-        if p.is_zero:
-            assert p.leading_exponent() is None
-        else:
-            assert p.leading_exponent() == p.sorted_terms()[0][0]
-
     def test_equal_across_constructions(self):
         poly = skew_schur(SkewShape(P(3, 1), P(1)), 3)
         from_tuples = Polynomial(3, dict(poly.terms.items()))
@@ -132,6 +127,13 @@ class TestSkewSchur:
     def test_tall_column_vanishes(self):
         assert skew_schur(SkewShape(P(1, 1, 1)), 2).is_zero
 
+    def test_one_box_in_two_thousand_variables(self):
+        # one dominant term, x_1, whose orbit is placed without a zero part
+        poly = skew_schur(SkewShape(P(1)), 2000)
+        assert dominant_terms(SkewShape(P(1)), 2000).terms == {(1,) + (0,) * 1999: 1}
+        assert len(poly.coefficients()) == 2000 and set(poly.coefficients()) == {1}
+        assert poly.evaluate(range(2000)) == sum(range(2000))
+
 
 def tableau_weight_sum(shape, n):
     """The oracle: the weights of all fillings of ``shape`` with 1..n, summed."""
@@ -142,7 +144,35 @@ def tableau_weight_sum(shape, n):
     return terms
 
 
+def _dominant(terms):
+    return {e: c for e, c in terms.items() if all(a >= b for a, b in zip(e, e[1:]))}
+
+
+def _transposed_columns(shape, n):
+    """The conjugate of the column lengths of ``shape``, padded to n parts."""
+    heights = Counter(j for _, j in shape.cells())
+    return tuple(sum(1 for h in heights.values() if h >= k) for k in range(1, n + 1))
+
+
 class TestBranchingRuleAgainstTableaux:
+    def test_dominant_terms_are_the_dominant_tableau_weights(self):
+        for shape in shapes_up_to(6):
+            for n in range(1, 6):
+                dominant = dominant_terms(shape, n)
+                assert dominant.terms == _dominant(tableau_weight_sum(shape, n)), (shape, n)
+                assert dominant._bits == skew_schur(shape, n)._bits
+
+    def test_leading_exponent_is_the_transposed_columns(self):
+        """What ``dominant_products`` bounds its exponents by: the lex-largest
+        exponent of s_{outer/inner} is its column lengths transposed."""
+        for shape in shapes_up_to(6):
+            for n in range(1, 6):
+                terms = skew_schur(shape, n).terms
+                if terms:
+                    assert max(terms) == _transposed_columns(shape, n), (shape, n)
+                else:
+                    assert shape.max_column_height > n
+
     def test_every_small_shape(self):
         for shape in shapes_up_to(6):
             for n in range(1, 6):
@@ -442,6 +472,23 @@ class TestEvalOracle:
                         with pytest.raises(ValueError, match=r"^h has"):
                             skew_schur_eval(shape, point, h[:-1])
         assert deleted > 0 and vanished > 0
+
+    @pytest.mark.parametrize(
+        "point, h, message",
+        [
+            ((0.5, 1), None, "h_1 is not an integer: 1.5"),
+            ((1, 1.0), None, "h_1 is not an integer: 2.0"),
+            ((2, 5), [1, 7, 39, 203.0, 1031], "h_3 is not an integer: 203.0"),
+        ],
+        ids=["float-point", "float-one", "float-h"],
+    )
+    def test_non_integer_h_refused(self, point, h, message):
+        # the determinant's entries are h-values, so a float one is refused
+        # before the elimination would floor it
+        shape = SkewShape(P(3, 1), P(1))
+        assert h is None or h == h_values((shape,), point)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            skew_schur_eval(shape, point, h)
 
     def test_short_h_vector_refused(self):
         shape = SkewShape(P(3, 1), P(1))  # top degree 3 - 0 + 2 - 1 = 4

@@ -30,6 +30,9 @@ READ_ZERO = {
     "paths.family_from_paths":
         "recolour decodes through CircularConfiguration.shapes, so nothing reads "
         "overlay.family_from_paths",
+    "schur.Polynomial.mul":
+        "full reads the products at their dominant exponents (schur.dominant_products)",
+    "schur.Polynomial.add": "full sums the sides' dominant coefficients, not polynomials",
 }
 
 SCRIPT = """
