@@ -26,17 +26,19 @@ A ``Polynomial`` keys its terms by one packed int per exponent vector
 multiplication"): the exponent of x_1 sits in the most significant field, so
 integer order on keys is descending lexicographic order on exponents, and a
 product of monomials is a sum of keys.  The constructor packs exponent
-tuples, and ``sorted_terms`` unpacks them; ``terms``, ``evaluate`` and the
-JSON form read it, and ``dominant_products`` unpacks only the one key that
-bounds the exponents of each product.
+tuples, and ``exponent_columns`` unpacks them, one C-level pass over the
+sorted keys per column of one or two fields; ``sorted_terms`` zips its
+one-field columns for ``terms``, ``evaluate`` and the JSON form, the CLI
+writes the polynomial from its two-field columns, and ``dominant_products``
+unpacks only the one key that bounds the exponents of each product.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, ValuesView
 from functools import lru_cache
-from itertools import accumulate, combinations, product
-from operator import lshift
+from itertools import accumulate, combinations, product, repeat
+from operator import lshift, rshift
 from typing import Sequence
 
 from .partitions import SkewShape
@@ -61,10 +63,11 @@ class Polynomial:
     key is ``bits`` wide, with every exponent below 2**bits; a product widens
     its fields by one bit, so that no sum of two fields carries, and a sum or
     comparison of polynomials of different widths repacks the narrower one.
-    The constructor packs exponent tuples and only ``sorted_terms`` unpacks
-    them: ``terms`` is a new dict of its pairs, in canonical order, and
-    ``coefficients()`` reads the store without unpacking.  Instances are
-    treated as immutable; all operations return new objects.
+    The constructor packs exponent tuples and only ``exponent_columns``
+    unpacks them: ``terms`` is a new dict of the pairs of ``sorted_terms``,
+    in canonical order, and ``coefficients()`` reads the store without
+    unpacking.  Instances are treated as immutable; all operations return
+    new objects.
     """
 
     __slots__ = ("nvars", "_bits", "_terms")
@@ -169,13 +172,36 @@ class Polynomial:
             total += m
         return total
 
+    @property
+    def field_bits(self) -> int:
+        """The width of one exponent field, which ``exponent_columns`` packs."""
+        return self._bits
+
+    def exponent_columns(self, fields: int = 1) -> tuple[list[int], list[list[int]]]:
+        """The coefficients in canonical term order, and the exponents in that
+        order as columns.
+
+        Column j holds the exponents of the ``fields`` variables from
+        x_{j * fields + 1} on, the last column those left over, packed as a
+        key packs them: ``field_bits`` wide, the first variable's field the
+        highest.  Each column is one pass of C-level maps over the sorted keys.
+        """
+        terms, bits = self._terms, self._bits
+        keys = sorted(terms, reverse=True)
+        columns = []
+        for left in range(self.nvars, 0, -fields):
+            width = min(fields, left)
+            low = (left - width) * bits
+            mask = (1 << width * bits) - 1
+            shifted = map(rshift, keys, repeat(low)) if low else keys
+            columns.append(list(map(mask.__and__, shifted)))
+        return list(map(terms.__getitem__, keys)), columns
+
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Descending lexicographic exponent order; the canonical term order."""
-        terms, mask = self._terms, (1 << self._bits) - 1
-        shifts = range((self.nvars - 1) * self._bits, -1, -self._bits)
-        return [
-            (tuple([k >> s & mask for s in shifts]), terms[k]) for k in sorted(terms, reverse=True)
-        ]
+        coeffs, columns = self.exponent_columns()
+        exps = zip(*columns) if columns else repeat((), len(coeffs))
+        return list(zip(exps, coeffs))
 
     def to_json(self) -> dict:
         return {

@@ -112,8 +112,10 @@ class TestCompute:
             # the README example, 68,272 terms
             ("7,4,4,3,1,1,1/3,2,2,1", 8,
              "571a8eeb2ee05e169a30890fd9cf5333a8e793a58cbc6ac43c70441727fffd65"),
+            ("1/", 2000, "dd9626a04a69a47a01dd7e14a86934c32d80f64529160ddd9ff7f7cebbdd9717"),
         ],
-        ids=["gallery-6-vars", "one-box-300-vars", "skew-3-2-1", "gallery-8-vars"],
+        ids=["gallery-6-vars", "one-box-300-vars", "skew-3-2-1", "gallery-8-vars",
+             "one-box-2000-vars"],
     )
     def test_pinned_stdout(self, capsys, shape, n, sha256):
         code, out = run(capsys, "compute", "--shape", shape, "--vars", str(n))
@@ -483,6 +485,10 @@ REFUSALS = {
         ["compute", "--shape", "2,1/3", "--vars", "2"],
         "error: bad shape '2,1/3': inner (3,) does not fit inside outer (2, 1)",
     ),
+    "compute-no-variables": (
+        ["compute", "--shape", "2,1/", "--vars", "0"],
+        "error: alphabet must be positive: 0",
+    ),
     "strip-constraint": (
         ["identity-gps", "--lambda", "3,1", "--strips", "1:(1,1)"],
         "error: strip 1: row 1 outside 2..2",
@@ -647,6 +653,17 @@ class TestInternalErrors:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: internal: {type(exc).__name__}: {exc}\n"
 
+    def test_out_of_memory_in_the_key_sort_writes_nothing(self, capsys, monkeypatch):
+        # the polynomial is sorted and unpacked before its first byte is written
+        def exhausted(self, fields=1):
+            raise MemoryError
+
+        monkeypatch.setattr(schur.Polynomial, "exponent_columns", exhausted)
+        code = main(["compute", "--shape", "3,2,1/1", "--vars", "4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: resource limit: out of memory\n"
+
     def test_out_of_memory_reported_as_resource_limit(self, capsys, monkeypatch):
         def exhausted(shape, values):
             raise MemoryError
@@ -670,7 +687,9 @@ class TestFailVerdictExitCode:
 
 class TestEmit:
     """Every command prints exactly ``json.dumps(payload, indent=2)``; only the
-    polynomial of ``compute --method enum`` is laid out by ``_dumps_polynomial``."""
+    polynomial of ``compute --method enum`` is laid out by ``_dump_polynomial``,
+    which writes it in blocks of terms, each exponent column read through a
+    table of pair texts or through ``str``."""
 
     GPS = ("identity-gps", "--lambda", "10,7,7,6,6,4,4,3,2,2", "--mu", "4,3,3,1",
            "--strips", "2:(2,3);1:(6,2)", "--vars", "11", "--points", "3", "--seed", "42")
@@ -716,6 +735,18 @@ class TestEmit:
         "one-box-300-vars": skew_schur(SkewShape(Partition((1,))), 300),
         "no-variables": schur.Polynomial(0, {(): 1}),
         "signed-big-coefficients": schur.Polynomial(2, {(1, 0): -3, (0, 2): 10**40, (0, 0): 7}),
+        # five variables: two paired columns and x_5 on its own
+        "odd-vars-paired": skew_schur(SkewShape(Partition((3, 2, 1)), Partition((1,))), 5),
+        "odd-vars-one-box": skew_schur(SkewShape(Partition((1,))), 5),
+        # one-bit fields make a pair table of 4 texts: 4 terms read it, 3 do not
+        "pair-table-just-inside": schur.Polynomial(
+            2, {(1, 1): 2, (1, 0): -1, (0, 1): 3, (0, 0): 1}),
+        "pair-table-just-outside": schur.Polynomial(2, {(1, 1): 2, (1, 0): -1, (0, 1): 3}),
+        "part-two-to-the-forty": schur.Polynomial(
+            2, {(2**40, 0): 1, (2**39, 2**39): -2, (0, 2**40): 1}),
+        # 22,500 terms of six pieces each, three blocks of _BLOCK_PIECES
+        "three-blocks": schur.Polynomial(
+            2, {(i, j): (-1) ** i * (i * j + 1) for i in range(150) for j in range(150)}),
         "tuples": {"t": (1, (2, -3), ("a", None)), "empty": ()},
         "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]]]},
         "strings": {"λ/μ": "café ☃ \U0001d54a \"q\" \\ \n\t\x00", "": ""},
@@ -728,8 +759,8 @@ class TestEmit:
     @pytest.mark.parametrize("payload", PAYLOADS.values(), ids=PAYLOADS.keys())
     def test_values(self, capsys, payload):
         if isinstance(payload, schur.Polynomial):
-            text = '{\n  "polynomial": ' + cli._dumps_polynomial(payload) + "\n}"
-            assert text == json.dumps({"polynomial": payload.to_json()}, indent=2)
+            cli._dump_polynomial(payload, '{\n  "polynomial": ', "\n}\n")
+            payload = {"polynomial": payload.to_json()}
         else:
             cli._emit(payload)
-            assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"

@@ -92,22 +92,30 @@ class TestExpansionAgainstMatchings:
         chosen = rng.sample(config.inward_points(), size)
         return config, [(p.x, p.level_name) for p in chosen], {p.index for p in chosen}
 
-    def test_random_alternating_pairs(self):
+    @classmethod
+    def random_pairs(cls):
         rng = random.Random(515)
         for k in range(1, 9):
             for size in range(1, min(k, 3) + 1):
                 for _ in range(3):
-                    config, s_points, s_idx = self._draw(rng, k, size)
-                    assert expansion_of(config, s_points) == oracle_terms(config, s_idx)
+                    yield cls._draw(rng, k, size)
 
-    def test_term_count_is_binomial(self):
-        # the flip sets are S with any |S| of the k outward points, zero terms included
+    @classmethod
+    def binomial_pairs(cls):
         rng = random.Random(516)
         for k in range(1, 7):
             for size in range(1, min(k, 4) + 1):
-                config, s_points, s_idx = self._draw(rng, k, size)
-                terms = expansion_of(config, s_points)
-                assert len(terms) == len(oracle_terms(config, s_idx)) == math.comb(k, size)
+                yield k, size, cls._draw(rng, k, size)
+
+    def test_random_alternating_pairs(self):
+        for config, s_points, s_idx in self.random_pairs():
+            assert expansion_of(config, s_points) == oracle_terms(config, s_idx)
+
+    def test_term_count_is_binomial(self):
+        # the flip sets are S with any |S| of the k outward points, zero terms included
+        for k, size, (config, s_points, s_idx) in self.binomial_pairs():
+            terms = expansion_of(config, s_points)
+            assert len(terms) == len(oracle_terms(config, s_idx)) == math.comb(k, size)
 
     def test_forty_points(self):
         # 1,140 terms where the matchings would number Catalan(20), about 6.6e9
@@ -266,23 +274,32 @@ class TestConsistency:
         ident = border_strip_identity(P(3, 1), (), [StripSpec(1, 2, 1)], alphabet=3)
         assert verify_identity(ident, method="full").passed
 
-    def test_sweep_small_instances(self):
-        checked = 0
+    @staticmethod
+    def small_instances():
         for lam in (P(3, 1), P(4, 2, 1), P(5, 3, 3, 1), P(4, 4, 2, 1)):
             for r in range(2, len(lam) + 1):
                 gap = lam.part(r - 1) - lam.part(r)
                 for t in range(1, gap + 1):
                     for m in range(1, len(lam) - r + 2):
-                        assert self.agrees(lam, (), [StripSpec(t, r, m)])
-                        checked += 1
+                        yield lam, (), [StripSpec(t, r, m)]
+
+    @staticmethod
+    def seeded_instances():
+        # with the instance of test_empty_leading_column, where comparing
+        # (outer, inner) tuples would fail
+        yield P(7, 6, 3), P(3, 1), [StripSpec(1, 3, 1)]
+        yield from strip_instances(seed=5, count=800)
+
+    def test_sweep_small_instances(self):
+        checked = 0
+        for lam, mu, strips in self.small_instances():
+            assert self.agrees(lam, mu, strips)
+            checked += 1
         assert checked >= 20
 
     def test_seeded_sweep_with_mu(self):
-        # with the instance of test_empty_leading_column, where comparing
-        # (outer, inner) tuples would fail
         agreed = 0
-        leading = (P(7, 6, 3), P(3, 1), [StripSpec(1, 3, 1)])
-        for lam, mu, strips in [leading, *strip_instances(seed=5, count=800)]:
+        for lam, mu, strips in self.seeded_instances():
             try:
                 expected = peel_expansion(lam, mu, strips)
             except ValueError:
@@ -307,6 +324,74 @@ class TestConsistency:
             else:
                 border_strip_identity(lam, mu, strips)
         assert refused >= 100
+
+
+def in_lambda(identity: Identity, rng: random.Random) -> bool:
+    """Whether the sides are equal at seeded random integers h_1..h_D, h_0 = 1.
+
+    Each shape is its Jacobi-Trudi determinant in h, taken at R ones with R
+    at least every column height, so the support rule zeroes no shape.  The
+    h_d are algebraically independent in the ring of symmetric functions, so
+    an identity that holds there holds at every draw, and one that holds
+    only at its own number of variables fails at almost every draw.
+    """
+    shapes = identity.all_shapes()
+    top = max(
+        (s.outer[0] - s.inner.part(s.rows) + s.rows - 1 for s in shapes if s.rows), default=0
+    )
+    h = [1] + [rng.randint(-(10**6), 10**6) for _ in range(top)]
+    ones = (1,) * max((s.max_column_height for s in shapes), default=0)
+
+    def side(terms):
+        return sum(
+            skew_schur_eval(t.white, ones, h) * skew_schur_eval(t.black, ones, h)
+            for t in terms
+            if not t.zero
+        )
+
+    return side(identity.lhs) == side(identity.rhs)
+
+
+class TestInLambda:
+    """The identities of the sweeps above hold in the ring of symmetric
+    functions, not only at their number of variables."""
+
+    def test_border_strip_sweeps(self):
+        rng = random.Random(2601)
+        held = 0
+        instances = [*TestConsistency.small_instances(), *TestConsistency.seeded_instances()]
+        for lam, mu, strips in instances:
+            try:
+                ident = border_strip_identity(lam, mu, strips)
+            except ValueError:  # mu does not fit inside a peeled shape
+                continue
+            assert in_lambda(ident, rng)
+            held += 1
+        assert held == 527
+
+    def test_recolouring_sweeps(self):
+        rng = random.Random(2602)
+        draws = [
+            *TestExpansionAgainstMatchings.random_pairs(),
+            *(draw for _, _, draw in TestExpansionAgainstMatchings.binomial_pairs()),
+        ]
+        for config, s_points, _ in draws:
+            (white, _), (black, _) = config.shapes()
+            ident = Identity((ProductTerm(white, black),), expansion_of(config, s_points))
+            assert in_lambda(ident, rng)
+        assert len(draws) == 81
+
+    def test_products_true_only_at_their_n_fail(self):
+        rng = random.Random(2603)
+        at_n = [
+            ident
+            for ident in full_instances(seed=2503, count=330)
+            if ident.provenance == "products" and verify_identity(ident, method="full").passed
+        ]
+        assert any(not in_lambda(ident, rng) for ident in at_n)
+        # commuting the factors is an identity in Lambda
+        commuted = [i for i in at_n if i.rhs == (ProductTerm(*reversed(i.lhs[0].shapes())),)]
+        assert commuted and all(in_lambda(i, rng) for i in commuted)
 
 
 class TestVerify:
