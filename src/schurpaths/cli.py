@@ -95,57 +95,41 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-# the number of text pieces that one block of terms, one "".join, is built from
-_BLOCK_PIECES = 1 << 16
+def _dumps_polynomial(poly: Polynomial, head: str, tail: str) -> str:
+    """``head``, the ``indent=2`` text of ``poly.to_json()`` as the value of a
+    top-level key, and ``tail``, built with no loop per term.
 
-
-def _dump_polynomial(poly: Polynomial, head: str, tail: str) -> None:
-    """Write ``head``, the ``indent=2`` text of ``poly.to_json()`` as the value
-    of a top-level key, and ``tail`` to standard output, with no loop per term.
-
-    A block of terms is one ``"".join`` over a flat list of pieces, in which
-    the constant pieces stay in place and each exponent column, then the
-    coefficients, fill their slots by one extended-slice assignment from a
-    C-level ``map``.  A column holds two adjacent exponents, read through a
-    table of the texts of every pair, when that table has no more entries than
-    there are terms; otherwise it holds one exponent, read through ``str``.
-    The keys are sorted and unpacked before the first byte is written.  The
-    tests compare the text with ``json.dumps``.
+    The text is one ``"".join`` over a flat list of pieces, in which the
+    constant pieces stay in place and each column of two adjacent exponents
+    (the last of odd N one exponent), then the coefficients, fill their slots
+    by one extended-slice assignment from a C-level ``map``.  A column's texts
+    are looked up in a dict of the texts of its distinct values, built by a
+    loop over those values only.  The tests compare the text with
+    ``json.dumps``.
     """
     i1, i2, i3, i4 = ("\n" + " " * k for k in (4, 6, 8, 10))
-    n, count, bits = poly.nvars, len(poly.coefficients()), poly.field_bits
-    paired = 4**bits <= count
-    coeffs, columns = poly.exponent_columns(2 if paired else 1)
-    texts = [str] * len(columns)
-    if paired:
-        digits = list(map(str, range(1 << bits)))
-        table = [a + "," + i4 + b for a in digits for b in digits]
-        texts[: n // 2] = [table.__getitem__] * (n // 2)
+    n, bits = poly.nvars, poly.field_bits
+    coeffs, columns = poly.exponent_columns(2)
+    text = head + "{" + i1 + '"N": ' + str(n) + "," + i1 + '"terms": '
+    if not coeffs:
+        return text + "[]\n  }" + tail
     opened = "{" + i3 + '"exp": [' + (i4 if n else "")
     template = ['"' + i2 + "}," + i2 + opened]
     for j in range(len(columns)):
         template += ["," + i4, None] if j else [None]
     template += [(i3 if n else "") + "]," + i3 + '"coeff": "', None]
-    step = len(template)
-    per_block = min(count, max(1, _BLOCK_PIECES // step))
-    write = sys.stdout.write
-    write(head + "{" + i1 + '"N": ' + str(n) + "," + i1 + '"terms": ')
-    if not count:
-        write("[]\n  }" + tail)
-        return
-    buf = template * per_block
-    for lo in range(0, count, per_block):
-        hi = min(lo + per_block, count)
-        if hi - lo < per_block:
-            buf = template * (hi - lo)
-        for j, (text, column) in enumerate(zip(texts, columns)):
-            buf[1 + 2 * j :: step] = map(text, column[lo:hi])
-        buf[step - 1 :: step] = map(str, coeffs[lo:hi])
-        if lo == 0:
-            buf[0] = "[" + i2 + opened
-        write("".join(buf))
-        buf[0] = template[0]
-    write('"' + i2 + "}" + i1 + "]\n  }" + tail)
+    step, mask = len(template), (1 << bits) - 1
+    pieces = template * len(coeffs)
+    for j, column in enumerate(columns):
+        if 2 * j + 1 < n:
+            texts = {v: str(v >> bits) + "," + i4 + str(v & mask) for v in set(column)}
+        else:
+            texts = {v: str(v) for v in set(column)}
+        pieces[1 + 2 * j :: step] = map(texts.__getitem__, column)
+    pieces[step - 1 :: step] = map(str, coeffs)
+    pieces[0] = text + "[" + i2 + opened
+    pieces.append('"' + i2 + "}" + i1 + "]\n  }" + tail)
+    return "".join(pieces)
 
 
 def _load_overlay(path: str) -> Overlay:
@@ -185,7 +169,7 @@ def cmd_compute(args) -> int:
             raise ValueError("--point is only read with --method eval")
         poly = skew_schur(shape, args.vars)
         head = json.dumps({"shape": shape.to_json(), "N": args.vars}, indent=2)
-        _dump_polynomial(poly, head[:-2] + ',\n  "polynomial": ', "\n}\n")
+        print(_dumps_polynomial(poly, head[:-2] + ',\n  "polynomial": ', "\n}"))
         return 0
     if args.point is None:
         raise ValueError("--point is required with --method eval")

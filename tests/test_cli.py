@@ -654,7 +654,7 @@ class TestInternalErrors:
         assert captured.err == f"error: internal: {type(exc).__name__}: {exc}\n"
 
     def test_out_of_memory_in_the_key_sort_writes_nothing(self, capsys, monkeypatch):
-        # the polynomial is sorted and unpacked before its first byte is written
+        # the whole text of the polynomial is built before any of it is written
         def exhausted(self, fields=1):
             raise MemoryError
 
@@ -687,9 +687,9 @@ class TestFailVerdictExitCode:
 
 class TestEmit:
     """Every command prints exactly ``json.dumps(payload, indent=2)``; only the
-    polynomial of ``compute --method enum`` is laid out by ``_dump_polynomial``,
-    which writes it in blocks of terms, each exponent column read through a
-    table of pair texts or through ``str``."""
+    polynomial of ``compute --method enum`` is laid out by ``_dumps_polynomial``,
+    one ``"".join`` in which each column of two exponents is read through a
+    dict of the texts of its distinct values."""
 
     GPS = ("identity-gps", "--lambda", "10,7,7,6,6,4,4,3,2,2", "--mu", "4,3,3,1",
            "--strips", "2:(2,3);1:(6,2)", "--vars", "11", "--points", "3", "--seed", "42")
@@ -738,14 +738,13 @@ class TestEmit:
         # five variables: two paired columns and x_5 on its own
         "odd-vars-paired": skew_schur(SkewShape(Partition((3, 2, 1)), Partition((1,))), 5),
         "odd-vars-one-box": skew_schur(SkewShape(Partition((1,))), 5),
-        # one-bit fields make a pair table of 4 texts: 4 terms read it, 3 do not
-        "pair-table-just-inside": schur.Polynomial(
-            2, {(1, 1): 2, (1, 0): -1, (0, 1): 3, (0, 0): 1}),
-        "pair-table-just-outside": schur.Polynomial(2, {(1, 1): 2, (1, 0): -1, (0, 1): 3}),
+        # one-bit fields: every pair of exponents one of four values
+        "one-bit-fields": schur.Polynomial(2, {(1, 1): 2, (1, 0): -1, (0, 1): 3, (0, 0): 1}),
         "part-two-to-the-forty": schur.Polynomial(
             2, {(2**40, 0): 1, (2**39, 2**39): -2, (0, 2**40): 1}),
-        # 22,500 terms of six pieces each, three blocks of _BLOCK_PIECES
-        "three-blocks": schur.Polynomial(
+        "lone-field-two-to-the-forty": schur.Polynomial(3, {(1, 0, 2**40): 1, (0, 1, 0): -1}),
+        # 22,500 terms, each with its own pair of exponents
+        "every-pair-distinct": schur.Polynomial(
             2, {(i, j): (-1) ** i * (i * j + 1) for i in range(150) for j in range(150)}),
         "tuples": {"t": (1, (2, -3), ("a", None)), "empty": ()},
         "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]]]},
@@ -759,8 +758,8 @@ class TestEmit:
     @pytest.mark.parametrize("payload", PAYLOADS.values(), ids=PAYLOADS.keys())
     def test_values(self, capsys, payload):
         if isinstance(payload, schur.Polynomial):
-            cli._dump_polynomial(payload, '{\n  "polynomial": ', "\n}\n")
-            payload = {"polynomial": payload.to_json()}
+            text = cli._dumps_polynomial(payload, '{\n  "polynomial": ', "\n}")
+            assert text == json.dumps({"polynomial": payload.to_json()}, indent=2)
         else:
             cli._emit(payload)
-        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+            assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
