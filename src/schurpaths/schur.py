@@ -228,8 +228,10 @@ def dominant_terms(shape: SkewShape, nvars: int) -> Polynomial:
     that level k + 1 adds form a horizontal strip, and its size is the power
     of x_{k+1} (Macdonald, I.5.11).  A shape is kept only while outer/nu can
     still be filled by the variables left, with no strip above d, so the last
-    level holds outer alone.  The cost follows the number of intermediate
-    shapes and dominant terms, not the number of tableaux.
+    level holds outer alone, and no level holds a shape when a column is
+    taller than nvars: the early return on ``max_column_height`` is only a
+    shortcut.  The cost follows the number of intermediate shapes and
+    dominant terms, not the number of tableaux.
     """
     if nvars < 1:
         raise ValueError(f"alphabet must be positive: {nvars}")
@@ -245,43 +247,27 @@ def dominant_terms(shape: SkewShape, nvars: int) -> Polynomial:
     states: dict[tuple[tuple[int, ...], int], dict[int, int]] = {(inner, boxes): {0: 1}}
     for k in range(nvars):
         shift = (nvars - 1 - k) * bits
-        # After this level row i of nu is at least row i + left of outer, so
-        # that the variables left can still fill every column, and at most
-        # row i of reach, row i - k - 1 of inner, since each level adds a
-        # horizontal strip.  Rows whose two bounds meet are the same in every
-        # shape of the level; only the free rows vary.  Pinning a row to low
-        # unchecked against rho relies on the zero return above: with no
-        # column taller than nvars, low <= reach, and low[i] is a valid strip
-        # step from row i of every rho kept.
+        # Row i of nu lies between rho_i and rho_{i-1}, as the cells added form
+        # a horizontal strip, grows by at most cap and stays inside outer; it
+        # is at least row i + left of outer, so that the variables left can
+        # still fill every column.
         left = nvars - k - 1
         low = lam[left:] + (0,) * min(left, rows)
-        reach = lam[: k + 1] + inner[: max(rows - k - 1, 0)]
-        free = [i for i in range(rows) if low[i] < lam[i] and low[i] < reach[i]]
-        single = list(zip(low))  # the one choice (low[i],) of each row
         nxt: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
         for (rho, cap), terms in states.items():
-            ranges: list = single[:]
-            for i in free:
-                top = min(lam[i], rho[i - 1] if i else lam[0], rho[i] + cap)
-                ranges[i] = range(max(rho[i], low[i]), top + 1)
+            ranges = [
+                range(max(r, lo), min(top, prev, r + cap) + 1)
+                for r, lo, top, prev in zip(rho, low, lam, lam[:1] + rho)
+            ]
             size = sum(rho)
             # this strip and the left ones, none above it, must fill the boxes left
             least = -((size - boxes) // (left + 1))
-            by_strip: dict[int, dict[int, int]] = {0: terms}
             for nu in product(*ranges):
                 d = sum(nu) - size
-                if not least <= d <= cap:
-                    continue
-                add = by_strip.get(d)
-                if add is None:
-                    step = d << shift
-                    add = by_strip[d] = {e + step: c for e, c in terms.items()}
-                into = nxt.get((nu, d))
-                if into is None:
-                    nxt[nu, d] = dict(add)
-                else:
-                    for e, c in add.items():
-                        into[e] = into.get(e, 0) + c
+                if least <= d <= cap:
+                    into, step = nxt.setdefault((nu, d), {}), d << shift
+                    for e, c in terms.items():
+                        into[e + step] = into.get(e + step, 0) + c
         states = nxt
     dominant: dict[int, int] = {}
     for terms in states.values():

@@ -615,15 +615,21 @@ class TestRefusals:
 
 
 class TestClosedStdout:
-    def test_exit_two_without_traceback(self):
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_exit_two_without_traceback(self, unbuffered):
         # 901 KB of output, far more than a pipe buffers, so the write after
-        # the reader has gone fails whatever the timing
+        # the reader has gone fails whatever the timing.  Unbuffered, one
+        # large write to the closed pipe comes up short with no error, so
+        # exit 2 must not rest on a single write of the whole text.
         argv = ["compute", "--shape", "7,4,4,3,1,1,1/3,2,2,1", "--vars", "6"]
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
         proc = subprocess.Popen(
             [sys.executable, "-m", "schurpaths.cli", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()

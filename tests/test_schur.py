@@ -206,6 +206,18 @@ class TestBranchingRuleAgainstTableaux:
         with pytest.raises(ValueError, match="alphabet must be positive"):
             skew_schur(SkewShape(P(1)), 0)
 
+    def test_column_rule_is_only_a_shortcut(self, monkeypatch):
+        """With the ``max_column_height`` return bypassed, the branching rule
+        alone gives 0 for a column taller than N and the same terms for
+        every other shape."""
+        pairs = [(shape, n) for shape in shapes_up_to(5) for n in range(1, 5)]
+        tall = {pair for pair in pairs if pair[0].max_column_height > pair[1]}
+        kept = {pair: dominant_terms(*pair).terms for pair in pairs if pair not in tall}
+        monkeypatch.setattr(SkewShape, "max_column_height", property(lambda self: 0))
+        assert len(tall) == 53
+        for pair in pairs:
+            assert dominant_terms(*pair).terms == kept.get(pair, {}), pair
+
     def test_readme_compute_example_at_eight_variables(self):
         # 78,478,400 tableaux: minutes by enumeration, seconds by branching
         shape = SkewShape(P(7, 4, 4, 3, 1, 1, 1), P(3, 2, 2, 1))
@@ -446,6 +458,37 @@ class TestEvalOracle:
                         vanishing += 1
                     off_staircase += min(point) < 0 and 0 in own
         assert vanishing > 0 and off_staircase > 0
+
+    def test_dual_jacobi_trudi_in_e(self):
+        """A second route in Lambda_N = Z[e_1..e_N] (Macdonald, I.2-3): at
+        seeded integers e_1..e_N, with e_k = 0 for k > N, the Jacobi-Trudi
+        determinant in the h's they give, h_d = sum_{i=1..min(d,N)}
+        (-1)^(i-1) e_i h_{d-i}, equals the dual determinant
+        det(e_{outer'_i - inner'_j - i + j}) of the conjugate shapes.  The
+        point is R ones, R the tallest column, so the support rule never
+        zeroes the shape; a column taller than N makes both sides 0."""
+        rng = random.Random(13)
+        checked = 0
+        for shape in shapes_up_to(6):
+            width = shape.outer.part(1)
+            outer_t, inner_t = (
+                [sum(p >= j for p in part) for j in range(1, width + 1)]
+                for part in (shape.outer, shape.inner)
+            )
+            top = len(h_values((shape,), ())) - 1  # h_0..h_top, the top degree
+            for n in range(1, 6):
+                e = [1] + [rng.randint(-9, 9) for _ in range(n)]
+                h = [1]
+                for d in range(1, top + 1):
+                    h.append(sum((-1) ** (i - 1) * e[i] * h[d - i] for i in range(1, min(d, n) + 1)))
+                dual = [
+                    [e[k] if 0 <= (k := lam - mu - i + j) <= n else 0 for j, mu in enumerate(inner_t)]
+                    for i, lam in enumerate(outer_t)
+                ]
+                value = skew_schur_eval(shape, (1,) * shape.max_column_height, h)
+                assert value == bareiss_determinant(dual), (shape, n, e)
+                checked += 1
+        assert checked == 1150
 
     def test_zero_coordinates_drop_out(self):
         """At a point with a zero coordinate the value is the value with the
