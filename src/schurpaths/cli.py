@@ -101,11 +101,11 @@ def _dumps_polynomial(poly: Polynomial, head: str, tail: str) -> str:
 
     The text is one ``"".join`` over a flat list of pieces, in which the
     constant pieces stay in place and each column of two adjacent exponents
-    (the last of odd N one exponent), then the coefficients, fill their slots
-    by one extended-slice assignment from a C-level ``map``.  A column's texts
-    are looked up in a dict of the texts of its distinct values, built by a
-    loop over those values only.  The tests compare the text with
-    ``json.dumps``.
+    (the last of odd N one exponent; N >= 1, as ``compute`` refuses fewer),
+    then the coefficients, fill their slots by one extended-slice assignment
+    from a C-level ``map``.  A column's texts are looked up in a dict of the
+    texts of its distinct values, built by a loop over those values only.
+    The tests compare the text with ``json.dumps``.
     """
     i1, i2, i3, i4 = ("\n" + " " * k for k in (4, 6, 8, 10))
     n, bits = poly.nvars, poly.field_bits
@@ -113,11 +113,11 @@ def _dumps_polynomial(poly: Polynomial, head: str, tail: str) -> str:
     text = head + "{" + i1 + '"N": ' + str(n) + "," + i1 + '"terms": '
     if not coeffs:
         return text + "[]\n  }" + tail
-    opened = "{" + i3 + '"exp": [' + (i4 if n else "")
+    opened = "{" + i3 + '"exp": [' + i4
     template = ['"' + i2 + "}," + i2 + opened]
     for j in range(len(columns)):
         template += ["," + i4, None] if j else [None]
-    template += [(i3 if n else "") + "]," + i3 + '"coeff": "', None]
+    template += [i3 + "]," + i3 + '"coeff": "', None]
     step, mask = len(template), (1 << bits) - 1
     pieces = template * len(coeffs)
     for j, column in enumerate(columns):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .overlay import CircularConfiguration, admissible_flip_sets
 from .partitions import (
@@ -245,17 +245,18 @@ def border_strip_identity(
     return Identity((ProductTerm(white, black),), rhs, alphabet, "border-strip expansion")
 
 
-def _side(terms: Sequence[ProductTerm], schur_of: Callable[[SkewShape], int]) -> int:
-    """The sum over ``terms`` of schur_of(white) * schur_of(black)."""
-    return sum(schur_of(t.white) * schur_of(t.black) for t in terms if not t.zero)
+def _values_at(shapes: Sequence[SkewShape], point: tuple[int, ...]) -> list[int]:
+    """The value of each of ``shapes`` at ``point``, all read from one h-vector."""
+    h = h_values(shapes, point)
+    return [skew_schur_eval(s, point, h) for s in shapes]
 
 
 def estimate_expansion_size(identity: Identity) -> int:
     """Total tableau count over every shape of the identity at its alphabet."""
-    ones = (1,) * identity.alphabet
     shapes = identity.all_shapes()
-    h = h_values(shapes, ones)
-    return sum(skew_schur_eval(s, ones, h) for s in shapes)
+    distinct = list(dict.fromkeys(shapes))
+    count = dict(zip(distinct, _values_at(distinct, (1,) * identity.alphabet)))
+    return sum(map(count.__getitem__, shapes))
 
 
 def verify_identity(
@@ -272,15 +273,15 @@ def verify_identity(
     these, and so is the largest coefficient; ``multipoint`` evaluates at
     ``points`` seeded random points with entries in 0..4 and requires
     equality at every point, computing the h-values once per point and
-    sharing that one vector across every shape's determinant (a shape with
-    a column taller than the point's nonzero coordinates is 0 there and
-    needs none); ``auto`` picks full when the estimated tableau count fits
-    ``AUTO_BUDGET``.
+    sharing that one vector across one determinant per distinct shape (a
+    shape with a column taller than the point's nonzero coordinates is 0
+    there and needs none); ``auto`` picks full when the estimated tableau
+    count fits ``AUTO_BUDGET``.
     Failures carry the witnessing point.  ``points`` below 1 is refused
     whatever the method.
     """
     t0 = time.perf_counter()
-    n = identity.alphabet
+    n, sides = identity.alphabet, (identity.lhs, identity.rhs)
     if points < 1:
         raise ValueError(f"verification needs at least one point, got {points}")
     if method == "auto":
@@ -290,7 +291,7 @@ def verify_identity(
             dominant_products(
                 [(skew_schur(t.white, n), skew_schur(t.black, n)) for t in side if not t.zero], n
             ).terms
-            for side in (identity.lhs, identity.rhs)
+            for side in sides
         )
         max_abs = max(map(abs, [*lhs.values(), *rhs.values()]), default=0)
         differ = [e for e in lhs.keys() | rhs.keys() if lhs.get(e) != rhs.get(e)]
@@ -302,13 +303,14 @@ def verify_identity(
     if method != "multipoint":
         raise ValueError(f"unknown method {method!r}")
     rng = random.Random(seed)
-    shapes = identity.all_shapes()
+    shapes = list(dict.fromkeys(identity.all_shapes()))
+    at = {s: i for i, s in enumerate(shapes)}
+    products = [[(at[t.white], at[t.black]) for t in side if not t.zero] for side in sides]
     per_point = []
     for _ in range(points):
         point = tuple(rng.randint(0, 4) for _ in range(n))
-        h = h_values(shapes, point)
-        lv = _side(identity.lhs, lambda sh: skew_schur_eval(sh, point, h))
-        rv = _side(identity.rhs, lambda sh: skew_schur_eval(sh, point, h))
+        value = _values_at(shapes, point)
+        lv, rv = (sum(value[i] * value[j] for i, j in side) for side in products)
         per_point.append((point, lv, rv))
     witness = next((p for p, lv, rv in per_point if lv != rv), None)
     max_abs = max(abs(v) for _, lv, rv in per_point for v in (lv, rv))

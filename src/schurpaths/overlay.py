@@ -287,14 +287,14 @@ def trace_bicoloured(ov: Overlay, x: int, level: int) -> BicolouredPath:
     coloured arc continues.  The stopping point is always another coloured
     point; a runtime check enforces this.
 
-    One step: take the arc of the current family that leaves the current
-    point in the current direction (the arc from it as tail going forward, as
-    head going backward); stop if there is none or it is doubled; else record
-    it with the family's colour and move to its other end.  With two or more
-    levels every path has an arc, so a point lies on a family exactly when it
-    is a tail or a head of one of its arcs.  Each family is held as the tuple
-    (arcs by head, arcs by tail, colour), indexed by the direction as a bool,
-    and a switch swaps the two tuples.
+    One step: switch if the point is on the other family (the start point
+    too), take the arc of the current family that leaves it in the current
+    direction (as tail going forward, as head going backward), stop if there
+    is none or it is doubled, else record it with the family's colour and
+    move to its other end.  With two or more levels every path has an arc,
+    so a point lies on a family exactly when it is a tail or a head of one of
+    its arcs.  Each family is held as the tuple (arcs by head, arcs by tail,
+    colour), indexed by the direction as a bool; a switch swaps the tuples.
     """
     cp = ov.coloured_point(x, level)
     here = (ov._in[cp.colour], ov._out[cp.colour], cp.colour)
@@ -302,21 +302,19 @@ def trace_bicoloured(ov: Overlay, x: int, level: int) -> BicolouredPath:
     doubled = ov.doubled_arcs
     forward = not cp.top
     v: Point = (cp.x, ov.top if cp.top else 1)
-    if v in there[0] or v in there[1]:
-        here, there, forward = there, here, not forward
     arcs: list[tuple[Arc, Colour]] = []
     trail: list[Point] = [v]
     # one more than the number of coloured arcs, |white - doubled| + |black - doubled|
     budget = len(here[1]) + len(there[1]) - 2 * len(doubled) + 1
     while True:
+        if v in there[0] or v in there[1]:
+            here, there, forward = there, here, not forward
         arc = here[forward].get(v)
         if arc is None or arc in doubled:
             break
         arcs.append((arc, here[2]))
         v = arc[forward]
         trail.append(v)
-        if v in there[0] or v in there[1]:
-            here, there, forward = there, here, not forward
         budget -= 1
         if budget < 0:
             raise AssertionError("bicoloured trace failed to terminate")

@@ -204,4 +204,5 @@ def family_from_paths(paths: Iterable[LatticePath], alphabet: int) -> PathFamily
 
 def endpoints(shape: SkewShape, rows: int, shift: int) -> tuple[PointSet, PointSet]:
     """Start points (bottom level) and end points (top level) of a family."""
-    return to_points(shape.inner, rows, shift), to_points(shape.outer, rows, shift)
+    ends = to_points(shape.outer, rows, shift)  # too few rows: name outer's row count
+    return to_points(shape.inner, rows, shift), ends

@@ -4,9 +4,9 @@ Two independent routes, exact arbitrary-precision arithmetic throughout:
 symbolic expansion (``skew_schur``), and integer evaluation through the
 determinant of complete homogeneous sums by fraction-free elimination
 (``skew_schur_eval``), which rescales a row only when it next takes part in
-a step.  Both routes read one column rule, ``SkewShape.max_column_height``:
-a shape with a column taller than the variables, or than a point's nonzero
-coordinates, is 0 with no expansion and no determinant.
+a step.  A shape with a column taller than the variables is 0 on both: the
+branching bounds leave it no term, and the evaluation skips its determinant
+by ``SkewShape.max_column_height`` on a point's nonzero coordinates.
 Summing tableau weights over ``tableaux.enumerate_ssyt`` is a third route,
 kept as the test oracle for the expansion; the test suite cross-checks all
 three on every shape it can enumerate.
@@ -229,14 +229,12 @@ def dominant_terms(shape: SkewShape, nvars: int) -> Polynomial:
     of x_{k+1} (Macdonald, I.5.11).  A shape is kept only while outer/nu can
     still be filled by the variables left, with no strip above d, so the last
     level holds outer alone, and no level holds a shape when a column is
-    taller than nvars: the early return on ``max_column_height`` is only a
-    shortcut.  The cost follows the number of intermediate shapes and
-    dominant terms, not the number of tableaux.
+    taller than nvars, which gives 0 with no rule of its own.  The cost
+    follows the number of intermediate shapes and dominant terms, not the
+    number of tableaux.
     """
     if nvars < 1:
         raise ValueError(f"alphabet must be positive: {nvars}")
-    if shape.max_column_height > nvars:
-        return Polynomial(nvars)
     lam = tuple(shape.outer)
     rows, boxes = len(lam), sum(lam)
     inner = tuple(shape.inner.part(i) for i in range(1, rows + 1))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -26,6 +27,7 @@ from schurpaths import (
     build_nu,
     estimate_expansion_size,
     canonical_shape,
+    dominant_terms,
     enumerate_admissible_matchings,
     family_from_paths,
     peel_complete,
@@ -291,7 +293,35 @@ def full_by_products(identity: Identity) -> tuple[str, tuple[int, ...] | None, i
             if not t.zero:
                 total = total + skew_schur(t.white, n) * skew_schur(t.black, n)
         sides.append(total.terms)
-    lhs, rhs = sides
+    return _full_report(*sides)
+
+
+def disjoint_sum(a: SkewShape, b: SkewShape) -> SkewShape:
+    """A⊕B: ``b`` above ``a`` and to its right, sharing no row or column with
+    it, so that s_{A⊕B} = s_A s_B (a tableau of A⊕B is one of each)."""
+    width, rows = a.outer.part(1), b.rows
+    return SkewShape(
+        Partition([p + width for p in b.outer] + list(a.outer)),
+        Partition([b.inner.part(i) + width for i in range(1, rows + 1)] + list(a.inner)),
+    )
+
+
+def full_by_disjoint_sums(identity: Identity) -> tuple[str, tuple[int, ...] | None, int]:
+    """A second oracle for ``full`` that multiplies no polynomials: each side
+    at its dominant exponents, a sum of ``dominant_terms(A⊕B)``.  Both sides
+    are symmetric, so the witness and maxAbs lie among these exponents."""
+    n = identity.alphabet
+    sides = []
+    for terms in (identity.lhs, identity.rhs):
+        total = Counter()
+        for t in terms:
+            if not t.zero:
+                total.update(dominant_terms(disjoint_sum(t.white, t.black), n).terms)
+        sides.append(total)
+    return _full_report(*sides)
+
+
+def _full_report(lhs: dict, rhs: dict) -> tuple[str, tuple[int, ...] | None, int]:
     differ = [e for e in lhs.keys() | rhs.keys() if lhs.get(e, 0) != rhs.get(e, 0)]
     witness = max(differ, default=None)
     max_abs = max(map(abs, [*lhs.values(), *rhs.values()]), default=0)

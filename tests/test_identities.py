@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     alternating_configuration,
     first_appearance_flip_sets,
+    full_by_disjoint_sums,
     full_by_products,
     full_instances,
     peel_expansion,
@@ -34,7 +35,7 @@ from schurpaths import (
     skew_schur_eval,
     verify_identity,
 )
-from schurpaths import schur
+from schurpaths import identities, schur
 
 LAM = Partition((10, 7, 7, 6, 6, 4, 4, 3, 2, 2))
 MU = Partition((4, 3, 3, 1))
@@ -448,6 +449,26 @@ class TestVerify:
         assert report.passed and len(calls) == 20
         assert calls == [p for p, _, _ in report.per_point]
 
+    def test_each_distinct_shape_evaluated_once_per_point(self, monkeypatch):
+        """s_A s_B = s_B s_A holds four shapes, two of them distinct: two
+        evaluations per point, and two for the tableau count."""
+        calls = []
+
+        def counting(shape, values, h=None):
+            calls.append(shape)
+            return skew_schur_eval(shape, values, h)
+
+        monkeypatch.setattr(identities, "skew_schur_eval", counting)
+        a, b = SkewShape(P(2, 1)), SkewShape(P(3, 1), P(1))
+        ident = Identity((ProductTerm(a, b),), (ProductTerm(b, a),), 3)
+        assert len(ident.all_shapes()) == 4
+        assert verify_identity(ident, method="multipoint", points=5, seed=1).passed
+        assert calls == [a, b] * 5
+        calls.clear()
+        tableaux = skew_schur_eval(a, (1, 1, 1)) + skew_schur_eval(b, (1, 1, 1))
+        assert estimate_expansion_size(ident) == 2 * tableaux
+        assert calls == [a, b]
+
     def test_multipoint_skips_determinants_of_vanishing_shapes(self, monkeypatch):
         """A shape with a column taller than a point's nonzero coordinates is
         0 there without a determinant.  Determinants are counted, not timed."""
@@ -524,7 +545,8 @@ class TestVerify:
         verdicts = Counter()
         for ident in full_instances(seed=2503, count=330):
             report = verify_identity(ident, method="full")
-            assert (report.verdict, report.witness, report.max_abs) == full_by_products(ident)
+            found = (report.verdict, report.witness, report.max_abs)
+            assert found == full_by_products(ident) == full_by_disjoint_sums(ident)
             verdicts[report.verdict] += 1
         assert verdicts["pass"] >= 100 and verdicts["fail"] >= 150
 
@@ -540,7 +562,8 @@ class TestVerify:
         assert 2 * part >= 2 ** schur.skew_schur(row, 2)._bits
         report = verify_identity(square, method="full")
         assert report.witness == (2 * part, 0)
-        assert (report.verdict, report.witness, report.max_abs) == full_by_products(square)
+        found = (report.verdict, report.witness, report.max_abs)
+        assert found == full_by_products(square) == full_by_disjoint_sums(square)
 
     def test_full_multiplies_no_polynomials(self, monkeypatch):
         calls = []

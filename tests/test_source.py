@@ -22,6 +22,19 @@ def test_no_assert_statements():
     assert SRC.is_dir() and not found, found
 
 
+def test_source_parses_at_the_python_floor():
+    """Every ``src/`` file parses with the grammar of the oldest Python that
+    ``pyproject.toml`` declares (``requires-python``), so syntax such as
+    ``except*`` cannot slip in.  This checks the grammar only: a standard
+    library function newer than the floor still passes."""
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()
+    paths = sorted(SRC.rglob("*.py"))
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(int(major), int(minor)))
+    assert paths
+
+
 def test_readme_names_resolve():
     """Every backticked dotted name in the README whose head is the package,
     one of its modules or a name it exports resolves attribute by attribute,
