@@ -135,7 +135,10 @@ def _dumps_polynomial(poly: Polynomial, head: str, tail: str) -> str:
 def _load_overlay(path: str) -> Overlay:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except RecursionError as exc:  # nested deeper than the decoder goes
+                raise ValueError(exc) from exc
         if type(obj) is not dict:
             raise ValueError("not a JSON object")
         families = []

@@ -14,11 +14,12 @@ that lies on the other family, it must switch to that family and reverse
 direction, stopping if no coloured arc continues.  Doubled arcs are never
 traversed.  A step reads three things, each from a map looked up once per
 trace: the arc that leaves the point in the current family and direction,
-whether that arc is doubled, and whether its far end is a tail or a head of
-an arc of the other family.  Traces stop exactly at coloured points, two
-traces from the two ends of one bicoloured path retrace each other, and the
-induced pairing of coloured points is a non-crossing perfect matching
-joining opposite orientations.  The trace is the one rule for a bicoloured path: recolouring
+whether the other family's map from tail holds that arc too (it is then
+doubled), and whether its far end is a tail or a head of an arc of the other
+family.  Traces stop exactly at coloured points, two traces from the two
+ends of one bicoloured path retrace each other, and the induced pairing of
+coloured points is a non-crossing perfect matching joining opposite
+orientations.  The trace is the one rule for a bicoloured path: recolouring
 accepts exactly the traces, swaps the colour of their arcs and endpoints,
 and is a weight-preserving involution.
 """
@@ -174,13 +175,12 @@ class BicolouredPath:
     """A traced path between two coloured points.
 
     ``arcs`` lists (arc, colour-it-had) in traversal order from ``start``;
-    ``trail`` is the visited lattice points, one more than the arcs.
+    each arc leaves the point where the one before it arrived.
     """
 
     start: ColouredPoint
     end: ColouredPoint
     arcs: tuple[tuple[Arc, Colour], ...]
-    trail: tuple[Point, ...]
 
     @property
     def endpoint_positions(self) -> frozenset[tuple[int, bool]]:
@@ -234,13 +234,12 @@ class Overlay:
         black: PathFamily,
         out: dict[Colour, dict[Point, Arc]],
         configuration: CircularConfiguration,
-        doubled_arcs: frozenset[Arc] | None = None,
     ) -> None:
         """Store the families, the per-colour maps from tail ``out`` and the
-        configuration, and derive the maps from head, ``doubled_arcs`` unless
-        given, and the lookup of coloured points; ``__init__`` draws ``out``
-        from the families, ``recolour`` passes the maps it edited and the
-        doubled arcs of the overlay it recoloured.
+        configuration, and derive the maps from head and the lookup of
+        coloured points; ``__init__`` draws ``out`` from the families,
+        ``recolour`` passes the maps it edited.  A doubled arc is one that
+        both maps from tail hold.
 
         A family of ``rows`` paths from level 1 to the top level ``N`` takes
         ``shape.size + rows * (N - 1)`` steps, and its paths meet exactly when
@@ -257,12 +256,6 @@ class Overlay:
             heads = self._in[colour] = {arc[1]: arc for arc in tails.values()}
             if not len(heads) == len(tails) == fam.shape.size + fam.rows * (self.top - 1):
                 raise AssertionError("family intersects itself")
-        if doubled_arcs is None:
-            white_out = out[Colour.WHITE]
-            doubled_arcs = frozenset(
-                arc for arc in out[Colour.BLACK].values() if white_out.get(arc[0]) == arc
-            )
-        self.doubled_arcs = doubled_arcs
         self.configuration = configuration
         self._coloured = {(p.x, p.top): p for p in configuration.points}
 
@@ -290,36 +283,33 @@ def trace_bicoloured(ov: Overlay, x: int, level: int) -> BicolouredPath:
     One step: switch if the point is on the other family (the start point
     too), take the arc of the current family that leaves it in the current
     direction (as tail going forward, as head going backward), stop if there
-    is none or it is doubled, else record it with the family's colour and
-    move to its other end.  With two or more levels every path has an arc,
-    so a point lies on a family exactly when it is a tail or a head of one of
-    its arcs.  Each family is held as the tuple (arcs by head, arcs by tail,
+    is none or the other family's map from tail holds it too (it is doubled),
+    else record it with the family's colour and move to its other end.  With
+    two or more levels every path has an arc, so a point lies on a family
+    exactly when it is a tail or a head of one of its arcs.  Each family is held as the tuple (arcs by head, arcs by tail,
     colour), indexed by the direction as a bool; a switch swaps the tuples.
     """
     cp = ov.coloured_point(x, level)
     here = (ov._in[cp.colour], ov._out[cp.colour], cp.colour)
     there = (ov._in[cp.colour.other], ov._out[cp.colour.other], cp.colour.other)
-    doubled = ov.doubled_arcs
     forward = not cp.top
     v: Point = (cp.x, ov.top if cp.top else 1)
     arcs: list[tuple[Arc, Colour]] = []
-    trail: list[Point] = [v]
-    # one more than the number of coloured arcs, |white - doubled| + |black - doubled|
-    budget = len(here[1]) + len(there[1]) - 2 * len(doubled) + 1
+    # one more than the number of arcs of both families, which bounds the coloured ones
+    budget = len(here[1]) + len(there[1]) + 1
     while True:
         if v in there[0] or v in there[1]:
             here, there, forward = there, here, not forward
         arc = here[forward].get(v)
-        if arc is None or arc in doubled:
+        if arc is None or there[1].get(arc[0]) == arc:
             break
         arcs.append((arc, here[2]))
         v = arc[forward]
-        trail.append(v)
         budget -= 1
         if budget < 0:
             raise AssertionError("bicoloured trace failed to terminate")
     end = ov.coloured_point(v[0], v[1])
-    return BicolouredPath(cp, end, tuple(arcs), tuple(trail))
+    return BicolouredPath(cp, end, tuple(arcs))
 
 
 def all_bicoloured(ov: Overlay) -> tuple[tuple[BicolouredPath, ...], Matching]:
@@ -358,11 +348,11 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
     original.  ``family_xs`` gives each colour's xs with the endpoints as
     flips; they are decoded into shapes and shifts as the expansion decodes
     its terms, and each row is walked off the recoloured arcs between them.
-    The new overlay is assembled from the recoloured maps from tail, the
-    configuration of those xs and the doubled arcs of ``ov``, as ``Overlay``
-    assembles one from the maps it draws; no path is drawn.  Recolouring
-    keeps the doubled arcs: a trace stops before one, and an arc recoloured
-    onto an arc of its new colour is refused for their shared tail.
+    The new overlay is assembled from the recoloured maps from tail and the
+    configuration of those xs, as ``Overlay`` assembles one from the maps it
+    draws; no path is drawn.  Recolouring keeps the doubled arcs: a trace
+    stops before one, and an arc recoloured onto an arc of its new colour is
+    refused for their shared tail.
     """
     chosen = list(chosen)
     flip_arcs: dict[Arc, Colour] = {}
@@ -402,7 +392,7 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
         families.append(PathFamily(Tableau(shape, rows[: shape.rows], ov.top), shift, len(rows)))
     configuration = CircularConfiguration.from_point_sets(*xs[Colour.WHITE], *xs[Colour.BLACK])
     result = Overlay.__new__(Overlay)
-    result._assemble(*families, out, configuration, ov.doubled_arcs)
+    result._assemble(*families, out, configuration)
     return result
 
 

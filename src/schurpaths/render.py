@@ -88,9 +88,13 @@ def render_overlay(
 
     hi = ET.SubElement(root, "g", attrib={"class": "bicoloured"})
     for bp in highlight:
+        # each arc leads from the point reached to its other end
+        trail = [(bp.start.x, ov.top if bp.start.top else 1)]
+        for (tail, head), _ in bp.arcs:
+            trail.append(tail if trail[-1] == head else head)
         _polyline(
             hi,
-            [(cx(x), cy(y)) for x, y in bp.trail],
+            [(cx(x), cy(y)) for x, y in trail],
             attrib={
                 "stroke": HIGHLIGHT_COLOUR,
                 "stroke-width": "5",

@@ -195,7 +195,8 @@ def reference_trace(ov: Overlay, x: int, level: int) -> BicolouredPath:
 
     From a start point walk forward along its own family, from an end point
     backward; on arriving at a lattice point of the other family, switch to
-    it and reverse; stop before a missing or a doubled arc.
+    it and reverse; stop before a missing or a doubled arc, which is one that
+    both drawn families hold.
     """
 
     def on_family(colour, point) -> bool:
@@ -207,19 +208,19 @@ def reference_trace(ov: Overlay, x: int, level: int) -> BicolouredPath:
     v = (cp.x, ov.top if cp.top else 1)
     if on_family(colour.other, v):
         colour, direction = colour.other, -direction
-    coloured_arcs = len(ov.white.arcs() ^ ov.black.arcs())
-    arcs, trail = [], [v]
+    white, black = ov.white.arcs(), ov.black.arcs()
+    doubled, coloured_arcs = white & black, len(white ^ black)
+    arcs = []
     while True:
         arc = (ov._out if direction > 0 else ov._in)[colour].get(v)
-        if arc is None or arc in ov.doubled_arcs:
+        if arc is None or arc in doubled:
             break
         arcs.append((arc, colour))
         assert len(arcs) <= coloured_arcs, "the walk repeats an arc"
         v = arc[1] if direction > 0 else arc[0]
-        trail.append(v)
         if on_family(colour.other, v):
             colour, direction = colour.other, -direction
-    return BicolouredPath(cp, ov.coloured_point(*v), tuple(arcs), tuple(trail))
+    return BicolouredPath(cp, ov.coloured_point(*v), tuple(arcs))
 
 
 def random_overlays(seed: int, count: int) -> Iterator[Overlay]:

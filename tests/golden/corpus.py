@@ -13,7 +13,8 @@ repr of the path.  A name is ``group/id``; the tests select entries by it.
 
     PYTHONPATH=src python tests/golden/corpus.py
 
-replays every entry and writes what it does now back into ``cli.json``; a
+replays every entry, writes what it does now back into ``cli.json`` and
+prints the name of each entry whose pins changed, or ``no entry changed``; a
 new entry needs only its name and argv.  The rule: a rewritten entry is a
 change of the command line's behaviour made by design, and ``CHANGES.md``
 lists it with its reason.  Anything else that changes an entry is a fault.
@@ -131,9 +132,7 @@ def check(*names: str) -> None:
 
 if __name__ == "__main__":
     with workdir() as paths:
-        lines = [
-            json.dumps({"name": e["name"], "argv": e["argv"], **replay(e["argv"], paths)},
-                       ensure_ascii=False)
-            for e in ENTRIES
-        ]
+        now = [{"name": e["name"], "argv": e["argv"], **replay(e["argv"], paths)} for e in ENTRIES]
+    lines = [json.dumps(e, ensure_ascii=False) for e in now]
     CORPUS.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
+    print("\n".join(e["name"] for e, was in zip(now, ENTRIES) if e != was) or "no entry changed")

@@ -393,10 +393,13 @@ MALFORMED_OVERLAYS = {
 }
 
 
+OVERLAY_COMMANDS = pytest.mark.parametrize(
+    "command", [["recolour", "--all"], ["render"]], ids=["recolour", "render"]
+)
+
+
 class TestMalformedOverlay:
-    @pytest.mark.parametrize(
-        "command", [["recolour", "--all"], ["render"]], ids=["recolour", "render"]
-    )
+    @OVERLAY_COMMANDS
     @pytest.mark.parametrize("make, err", MALFORMED_OVERLAYS.values(), ids=MALFORMED_OVERLAYS.keys())
     def test_usage_error_without_traceback(self, capsys, tmp_path, command, make, err):
         path = write_overlay(tmp_path, "malformed", make)
@@ -404,6 +407,17 @@ class TestMalformedOverlay:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: --overlay: cannot load {path!r}: {err}\n"
+
+    @OVERLAY_COMMANDS
+    def test_nesting_too_deep_to_decode(self, capsys, tmp_path, command):
+        # json.dumps cannot build a list this deep, so the text is written as it is
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code = main([command[0], "--overlay", str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        prefix = f"error: --overlay: cannot load {str(path)!r}: maximum recursion depth exceeded"
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
 
 
 class TestRefusals:

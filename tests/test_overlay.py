@@ -69,7 +69,7 @@ class TestMakeOverlay:
         ov = Overlay(w, b)
         assert ov.configuration.points == ()
         assert ov.configuration.admissible
-        assert ov.doubled_arcs == w.arcs() == b.arcs()
+        assert ov.white.arcs() & ov.black.arcs() == w.arcs() == b.arcs()
 
     def test_disjoint_singles_four_coloured(self):
         ov = Overlay(_single((1,), (), [1], 2, shift=0), _single((1,), (), [2], 2, shift=5))
@@ -87,7 +87,7 @@ class TestMakeOverlay:
         w = _single((2,), (), [1, 1], 2)
         b = _single((2,), (), [1, 1], 2, shift=1)
         ov = Overlay(w, b)
-        assert ov.doubled_arcs == {((0, 1), (1, 1))}
+        assert ov.white.arcs() & ov.black.arcs() == {((0, 1), (1, 1))}
         assert ((-1, 1), (0, 1)) in w.arcs() - b.arcs()  # white only
         assert ((1, 1), (2, 1)) in b.arcs() - w.arcs()  # black only
         assert ((5, 5), (6, 5)) not in w.arcs() | b.arcs()
@@ -156,8 +156,8 @@ class TestTrace:
 
     def test_reverse_trace_returns(self):
         """The trace from the far end of a trace is its exact reversal: the
-        same arcs with the same colours, and the same lattice points, in
-        reverse order; on both gallery overlays and seeded random ones."""
+        same arcs with the same colours in reverse order; on both gallery
+        overlays and seeded random ones."""
         overlays = [demo_overlay_small(), demo_overlay_large(), *random_overlays(155, 200)]
         traced = 0
         for ov in overlays:
@@ -167,7 +167,6 @@ class TestTrace:
                 assert back.end.index == p.index
                 assert back.arc_set() == bp.arc_set()
                 assert back.arcs == bp.arcs[::-1]
-                assert back.trail == bp.trail[::-1]
                 traced += 1
         assert traced > 1000
 
@@ -199,8 +198,8 @@ class TestTrace:
 
 
 class TestTraceAgainstReference:
-    """The walk on local maps gives the reference walk's start, end, arcs and
-    trail from every coloured point, and recolouring through its traces twice
+    """The walk on local maps gives the reference walk's start, end and arcs
+    from every coloured point, and recolouring through its traces twice
     restores the overlay."""
 
     @staticmethod
@@ -208,9 +207,7 @@ class TestTraceAgainstReference:
         for p in ov.configuration.points:
             level = ov.top if p.top else 1
             got, want = trace_bicoloured(ov, p.x, level), reference_trace(ov, p.x, level)
-            assert (got.start, got.end, got.arcs, got.trail) == (
-                want.start, want.end, want.arcs, want.trail
-            )
+            assert (got.start, got.end, got.arcs) == (want.start, want.end, want.arcs)
         paths, _ = all_bicoloured(ov)
         if not paths:
             return
@@ -353,15 +350,15 @@ class TestRecolour:
             return pytest.raises(ValueError, match=message)
 
         for p, q in itertools.permutations(pts, 2):
-            empty = BicolouredPath(p, q, (), ())
+            empty = BicolouredPath(p, q, ())
             with refused(empty):
                 recolour(ov, [empty])
         for bp in all_bicoloured(ov)[0]:
-            cut = BicolouredPath(bp.start, bp.end, bp.arcs[:-1], bp.trail[:-1])
+            cut = BicolouredPath(bp.start, bp.end, bp.arcs[:-1])
             with refused(cut):
                 recolour(ov, [cut])
             if len(bp.arcs) > 1:
-                backwards = BicolouredPath(bp.start, bp.end, bp.arcs[::-1], bp.trail[::-1])
+                backwards = BicolouredPath(bp.start, bp.end, bp.arcs[::-1])
                 with refused(backwards):
                     recolour(ov, [backwards])
 
@@ -372,15 +369,16 @@ class TestRecolour:
         ov = demo_overlay_small()
         coloured = {(p.x, ov.top if p.top else 1): p for p in ov.configuration.points}
         incident = collections.defaultdict(list)
+        doubled = ov.white.arcs() & ov.black.arcs()
         for colour in Colour:
             for arc in ov._out[colour].values():
-                if arc not in ov.doubled_arcs:
+                if arc not in doubled:
                     for v in arc:
                         incident[v].append((arc, colour))
 
         def walks(start, v, arcs, seen):
             if arcs and v in coloured:
-                yield BicolouredPath(coloured[start], coloured[v], tuple(arcs), ())
+                yield BicolouredPath(coloured[start], coloured[v], tuple(arcs))
             for arc, colour in incident[v]:
                 w = arc[1] if v == arc[0] else arc[0]
                 if w not in seen:
@@ -416,7 +414,7 @@ class TestRecolourInvariants:
             coloured = [
                 (arc, next(c for c in Colour if ov._out[c].get(arc[0]) == arc)) for arc in arcs
             ]
-            bp = BicolouredPath(pts[i - 1], pts[j - 1], tuple(coloured), ())
+            bp = BicolouredPath(pts[i - 1], pts[j - 1], tuple(coloured))
             monkeypatch.setattr(overlay, "trace_bicoloured", lambda *_: bp)
             return bp
 
@@ -488,7 +486,7 @@ def _facts(ov):
         (p.x, p.top): ov.coloured_point(p.x, ov.top if p.top else 1)
         for p in ov.configuration.points
     }
-    return (ov.top, ov._out, ov._in, ov.doubled_arcs, ov.configuration, points)
+    return (ov.top, ov._out, ov._in, ov.configuration, points)
 
 
 class TestRecolourAssembly:
@@ -580,17 +578,17 @@ class TestRecolourAssembly:
             self._assemble({(0, 1): ((0, 1), (1, 1))})
 
     def test_doubled_arcs_are_the_original_ones(self):
-        """``recolour`` keeps the doubled arcs of the overlay it recolours,
-        which are those found afresh in the recoloured families."""
+        """The arcs that both recoloured families hold are those that both
+        families of the overlay ``recolour`` recolours hold."""
         rng = random.Random(2501)
         doubled = 0
         for ov in random_overlays(seed=2502, count=200):
             paths, _ = all_bicoloured(ov)
             chosen = rng.sample(paths, rng.randint(1, len(paths))) if paths else []
             once = recolour(ov, chosen)
-            assert once.doubled_arcs is ov.doubled_arcs
-            assert once.doubled_arcs == Overlay(once.white, once.black).doubled_arcs
-            doubled += bool(ov.doubled_arcs)
+            arcs = ov.white.arcs() & ov.black.arcs()
+            assert once.white.arcs() & once.black.arcs() == arcs
+            doubled += bool(arcs)
         assert doubled >= 100
 
     def test_family_xs_read_once(self, monkeypatch):

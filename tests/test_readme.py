@@ -1,5 +1,6 @@
 """Each command of the README's "Command line" block is an entry of the
-golden corpus and does what the entry pins."""
+golden corpus, which ``tests/test_golden.py`` and ``tests/test_cli.py``
+replay, or is named in ``NOT_RUN``."""
 
 import pytest
 
@@ -18,6 +19,4 @@ def test_every_command_not_run_is_in_the_readme():
     ids=[f"{i}-{a[0]}" for i, a in enumerate(COMMANDS) if a not in corpus.NOT_RUN],
 )
 def test_command_runs(argv):
-    names = [e["name"] for e in corpus.ENTRIES if tuple(e["argv"]) == argv]
-    assert names, "not an entry of tests/golden/cli.json"
-    corpus.check(*names)
+    assert argv in {tuple(e["argv"]) for e in corpus.ENTRIES}, "not an entry of tests/golden/cli.json"

@@ -10,10 +10,13 @@ from schurpaths import (
     render_configuration,
     render_ferrers,
     render_overlay,
+    trace_bicoloured,
     validate_tableau,
 )
-from schurpaths.gallery import demo_overlay_small
+from schurpaths.gallery import demo_overlay_large, demo_overlay_small
 from schurpaths.paths import PathFamily
+
+from conftest import random_overlays
 
 
 def _tags(svg: str):
@@ -40,6 +43,26 @@ class TestOverlaySvg:
         root, tags = _tags(svg)
         assert tags.count("path") == 3  # one grid line per level
         assert tags.count("circle") == 0
+
+    def test_highlight_follows_the_trace(self):
+        """Each coloured point's highlight, alone in its picture, runs from
+        the mark of the trace's start to the mark of its end, one lattice
+        unit per step, through one point more than the trace has arcs."""
+        scale, traced = 24, 0
+        for ov in [demo_overlay_small(), demo_overlay_large(), *random_overlays(2901, 20)]:
+            for p in ov.configuration.points:
+                bp = trace_bicoloured(ov, p.x, ov.top if p.top else 1)
+                root = ET.fromstring(render_overlay(ov, [bp], scale=scale))
+                groups = {g.get("class"): list(g) for g in root}
+                marks = [(float(c.get("cx")), float(c.get("cy"))) for c in groups["coloured-points"]]
+                (line,) = groups["bicoloured"]
+                pts = [tuple(map(float, xy.split())) for xy in line.get("d")[1:].split(" L")]
+                assert len(pts) == len(bp.arcs) + 1
+                assert (pts[0], pts[-1]) == (marks[bp.start.index - 1], marks[bp.end.index - 1])
+                for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+                    assert sorted((abs(x1 - x0), abs(y1 - y0))) == [0, scale]
+                traced += 1
+        assert traced > 300
 
     def test_bad_scale(self):
         with pytest.raises(ValueError):
