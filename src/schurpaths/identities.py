@@ -197,10 +197,11 @@ def recolouring_expansion(
         raise ValueError(f"not inward coloured points: {names}")
     s_idx = {inward[p] for p in s_pts}
 
+    inward_at = {p.index: p.inward for p in config.points}
     terms: list[ProductTerm] = []
     for flips in admissible_flip_sets(config, s_idx):
         # a flip swaps a point's orientation, so balance holds iff half the flips are inward
-        if 2 * sum(config.points[i - 1].inward for i in flips) != len(flips):
+        if 2 * sum(map(inward_at.__getitem__, flips)) != len(flips):
             raise AssertionError("reorientation broke the orientation balance")
         shapes = config.shapes(flips)
         if shapes is None:

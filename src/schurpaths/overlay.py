@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from operator import lt
 from typing import Iterable, Iterator
 
 from .partitions import SkewShape, canonical_shape
@@ -140,7 +141,10 @@ class CircularConfiguration:
         xs = {c: ([*self.doubled_bottom], [*self.doubled_top]) for c in Colour}
         for p in self.points:
             xs[p.colour.other if p.index in flips else p.colour][p.top].append(p.x)
-        return {c: (sorted(s, reverse=True), sorted(e, reverse=True)) for c, (s, e) in xs.items()}
+        for starts, ends in xs.values():
+            starts.sort(reverse=True)
+            ends.sort(reverse=True)
+        return xs
 
     def shapes(
         self, flips: Iterable[int] = ()
@@ -164,7 +168,7 @@ class CircularConfiguration:
                 raise ValueError(
                     f"{colour.value} has {len(ends)} end points but {len(starts)} start points"
                 )
-            if any(e < s for e, s in zip(ends, starts)):
+            if any(map(lt, ends, starts)):
                 return None
             out.append(canonical_shape(starts, ends))
         return (out[0], out[1])
@@ -474,13 +478,16 @@ def admissible_flip_sets(
     balance = list(accumulate((1 if inw else -1 for inw in inward), initial=0))
     in_s = list(accumulate((p.index in s for p in config.points), initial=0))
     memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    # shared by every range that gives them; no caller mutates a result
+    no_sets: list[tuple[int, ...]] = []
+    only_empty: list[tuple[int, ...]] = [()]
 
     def rec(lo: int, hi: int) -> list[tuple[int, ...]]:
         """Flip sets of the range of positions lo..hi-1 (indices lo+1..hi)."""
         if balance[hi] != balance[lo]:
-            return []
+            return no_sets
         if in_s[hi] == in_s[lo]:
-            return [()]
+            return only_empty
         if (lo, hi) in memo:
             return memo[lo, hi]
         out: list[tuple[int, ...]] = []
@@ -488,9 +495,12 @@ def admissible_flip_sets(
         for j in range(lo + 1, hi, 2):
             if inward[j] == inward[lo]:
                 continue
+            rights = rec(j + 1, hi)
+            if not rights:
+                continue
             pair = (lo + 1 in s) or (j + 1 in s)
             for left in rec(lo + 1, j):
-                for right in rec(j + 1, hi):
+                for right in rights:
                     # sorted: lo+1 < left < j+1 < right
                     flips = (lo + 1,) + left + (j + 1,) + right if pair else left + right
                     if flips not in seen:

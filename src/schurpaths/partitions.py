@@ -12,7 +12,7 @@ test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index, le
+from operator import index, le, lt
 from typing import Iterable, Iterator, Sequence
 
 
@@ -28,6 +28,15 @@ def integers(values: Iterable, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers: {bad!r}") from None
 
 
+def _points(values: Iterable) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, refused unless they strictly decrease."""
+    xs = integers(values, "points")
+    if any(map(le, xs, xs[1:])):
+        a, b = next((a, b) for a, b in zip(xs, xs[1:]) if a <= b)
+        raise ValueError(f"point set must strictly decrease: {a} then {b}")
+    return xs
+
+
 class Partition(tuple):
     """A weakly decreasing sequence of positive integers.
 
@@ -40,9 +49,9 @@ class Partition(tuple):
         if type(parts) is Partition:
             return parts
         data = integers(parts, "parts")
-        for a, b in zip(data, data[1:]):
-            if b > a:
-                raise ValueError(f"parts must weakly decrease: {a} before {b}")
+        if any(map(lt, data, data[1:])):
+            a, b = next((a, b) for a, b in zip(data, data[1:]) if a < b)
+            raise ValueError(f"parts must weakly decrease: {a} before {b}")
         if data and data[-1] < 0:
             raise ValueError(f"parts must be nonnegative: {data[-1]}")
         if data and data[-1] == 0:
@@ -73,10 +82,7 @@ class PointSet:
     shift: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", integers(self.values, "points"))
-        for a, b in zip(self.values, self.values[1:]):
-            if b >= a:
-                raise ValueError(f"point set must strictly decrease: {a} then {b}")
+        object.__setattr__(self, "values", _points(self.values))
 
     @property
     def rows(self) -> int:
@@ -173,13 +179,14 @@ def canonical_shape(starts: Sequence[int], ends: Sequence[int]) -> tuple[SkewSha
 
     The shift is the largest one for which both decoded partitions are
     nonnegative, which makes the smallest decoded part zero; with no points
-    it is 0 and the shape is empty.
+    it is 0 and the shape is empty.  Each side's points are read into parts
+    in one pass, refused with :class:`PointSet`'s messages, ends first.
     """
     # the points strictly decrease, so x_i + i weakly decreases in i: the
-    # least is at the last point
+    # least is at the last point, and no part is negative
     shift = min((points[-1] + len(points) for points in (starts, ends) if points), default=0)
-    outer = PointSet(tuple(ends), shift).partition()
-    inner = PointSet(tuple(starts), shift).partition()
+    outer = Partition([x + i - shift for i, x in enumerate(_points(ends), 1)])
+    inner = Partition([x + i - shift for i, x in enumerate(_points(starts), 1)])
     return SkewShape(outer, inner), shift
 
 

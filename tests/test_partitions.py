@@ -43,6 +43,9 @@ class TestValidatePartition:
     def test_not_weakly_decreasing(self):
         with pytest.raises(ValueError, match=r"parts must weakly decrease: 2 before 3"):
             Partition((2, 3))
+        # the first pair out of order is named, not a later one
+        with pytest.raises(ValueError, match=r"^parts must weakly decrease: 3 before 4$"):
+            Partition((5, 3, 4, 1, 2))
 
     def test_negative_part(self):
         with pytest.raises(ValueError, match=r"parts must be nonnegative: -1"):
@@ -117,6 +120,57 @@ class TestPoints:
     def test_non_integer_point_refused(self):
         with pytest.raises(ValueError, match=r"^points must be integers: 3\.0$"):
             PointSet((3.0, 1))
+
+    @staticmethod
+    def point_set_route(starts, ends):
+        """The decode through ``PointSet(...).partition()``, at the same shift."""
+        shift = min((xs[-1] + len(xs) for xs in (starts, ends) if xs), default=0)
+        outer = PointSet(tuple(ends), shift).partition()
+        inner = PointSet(tuple(starts), shift).partition()
+        return SkewShape(outer, inner), shift
+
+    def test_canonical_shape_agrees_with_point_set_route(self):
+        cases = [
+            ((), ()),
+            ((4,), (4,)),
+            ((-7,), (-3,)),
+            ((-2, -5, -9), (0, -4, -6)),
+            ((2**40, 0), (2**40 + 3, 5)),
+            ((2**40,), (2**40,)),
+        ]
+        rng = random.Random(3016)
+        for _ in range(600):
+            n = rng.randint(0, 7)
+            ends = sorted(rng.sample(range(-15, 15), n), reverse=True)
+            if ends and rng.random() < 0.2:
+                ends[0] += 2**40
+            if rng.random() < 0.2:
+                starts = list(ends)
+            else:
+                starts = [e - rng.randint(0, 3) for e in ends]
+                if any(a <= b for a, b in zip(starts, starts[1:])):
+                    continue
+            cases.append((starts, ends))
+        for starts, ends in cases:
+            assert canonical_shape(starts, ends) == self.point_set_route(starts, ends)
+            assert canonical_shape(tuple(starts), tuple(ends)) == self.point_set_route(starts, ends)
+
+    @pytest.mark.parametrize(
+        "starts, ends, message",
+        [
+            ((3, 3), (5, 4), "point set must strictly decrease: 3 then 3"),
+            ((1, 1), (4, 4, 2), "point set must strictly decrease: 4 then 4"),
+            ((3, 1), (4, 5), "point set must strictly decrease: 4 then 5"),
+            ((3.0, 1), (4, 2), "points must be integers: 3.0"),
+            ((3, 1), (4, 2.5), "points must be integers: 2.5"),
+        ],
+        ids=["repeated-start", "ends-before-starts", "rising-end", "float-start", "float-end"],
+    )
+    def test_canonical_shape_refuses_as_point_set_does(self, starts, ends, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            canonical_shape(starts, ends)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            self.point_set_route(starts, ends)
 
     def test_canonical_shift_is_least_point_plus_row(self):
         rng = random.Random(11)
