@@ -58,6 +58,7 @@ from .schur import (
     h_values,
     skew_schur,
     skew_schur_eval,
+    skew_schur_evaluator,
 )
 from .identities import (
     Identity,

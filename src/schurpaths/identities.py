@@ -28,7 +28,7 @@ from .partitions import (
 # border_strip_identity does not call them, but perfbench/tracing.py rebinds
 # identities.peel_down and identities.peel_up, so the names stay here.
 from .partitions import peel_down, peel_up  # noqa: F401
-from .schur import dominant_products, h_values, skew_schur, skew_schur_eval
+from .schur import dominant_products, skew_schur, skew_schur_evaluator
 
 
 # ``auto`` expands in full when the estimated tableau count is at most this.
@@ -246,17 +246,11 @@ def border_strip_identity(
     return Identity((ProductTerm(white, black),), rhs, alphabet, "border-strip expansion")
 
 
-def _values_at(shapes: Sequence[SkewShape], point: tuple[int, ...]) -> list[int]:
-    """The value of each of ``shapes`` at ``point``, all read from one h-vector."""
-    h = h_values(shapes, point)
-    return [skew_schur_eval(s, point, h) for s in shapes]
-
-
 def estimate_expansion_size(identity: Identity) -> int:
     """Total tableau count over every shape of the identity at its alphabet."""
     shapes = identity.all_shapes()
     distinct = list(dict.fromkeys(shapes))
-    count = dict(zip(distinct, _values_at(distinct, (1,) * identity.alphabet)))
+    count = dict(zip(distinct, skew_schur_evaluator(distinct)((1,) * identity.alphabet)))
     return sum(map(count.__getitem__, shapes))
 
 
@@ -273,10 +267,12 @@ def verify_identity(
     symmetric, so the lex-largest exponent at which they differ is one of
     these, and so is the largest coefficient; ``multipoint`` evaluates at
     ``points`` seeded random points with entries in 0..4 and requires
-    equality at every point, computing the h-values once per point and
-    sharing that one vector across one determinant per distinct shape (a
-    shape with a column taller than the point's nonzero coordinates is 0
-    there and needs none); ``auto`` picks full when the estimated tableau
+    equality at every point, laying out each distinct shape's Jacobi-Trudi
+    matrix once per verification (``schur.skew_schur_evaluator``) and
+    computing the h-values once per point, one vector shared by one
+    determinant per distinct shape (a shape with a column taller than the
+    point's nonzero coordinates is 0 there and needs none, a one-row shape
+    is its one h-value); ``auto`` picks full when the estimated tableau
     count fits ``AUTO_BUDGET``.
     Failures carry the witnessing point.  ``points`` below 1 is refused
     whatever the method.
@@ -307,10 +303,11 @@ def verify_identity(
     shapes = list(dict.fromkeys(identity.all_shapes()))
     at = {s: i for i, s in enumerate(shapes)}
     products = [[(at[t.white], at[t.black]) for t in side if not t.zero] for side in sides]
+    values_at = skew_schur_evaluator(shapes)
     per_point = []
     for _ in range(points):
         point = tuple(rng.randint(0, 4) for _ in range(n))
-        value = _values_at(shapes, point)
+        value = values_at(point)
         lv, rv = (sum(value[i] * value[j] for i, j in side) for side in products)
         per_point.append((point, lv, rv))
     witness = next((p for p, lv, rv in per_point if lv != rv), None)

@@ -4,9 +4,11 @@ Two independent routes, exact arbitrary-precision arithmetic throughout:
 symbolic expansion (``skew_schur``), and integer evaluation through the
 determinant of complete homogeneous sums by fraction-free elimination
 (``skew_schur_eval``), which rescales a row only when it next takes part in
-a step.  A shape with a column taller than the variables is 0 on both: the
-branching bounds leave it no term, and the evaluation skips its determinant
-by ``SkewShape.max_column_height`` on a point's nonzero coordinates.
+a step; ``skew_schur_evaluator`` lays several shapes' matrices out once and
+reads them all from one h-vector per point.  A shape with a column taller
+than the variables is 0 on both routes: the branching bounds leave it no
+term, and the evaluation skips its determinant by
+``SkewShape.max_column_height`` on a point's nonzero coordinates.
 Summing tableau weights over ``tableaux.enumerate_ssyt`` is a third route,
 kept as the test oracle for the expansion; the test suite cross-checks all
 three on every shape it can enumerate.
@@ -38,8 +40,8 @@ from __future__ import annotations
 from collections.abc import Mapping, ValuesView
 from functools import lru_cache
 from itertools import accumulate, combinations, product, repeat
-from operator import lshift, rshift
-from typing import Sequence
+from operator import itemgetter, lshift, rshift
+from typing import Callable, Sequence
 
 from .partitions import SkewShape
 # skew_schur does not call it, but perfbench/tracing.py rebinds
@@ -401,8 +403,9 @@ def complete_homogeneous_values(values: Sequence[int], max_degree: int) -> list[
 
 
 class _IntRows(list):
-    """A square matrix as new lists of ints, the rows ``skew_schur_eval``
-    builds: ``bareiss_determinant`` eliminates in them with no copy or check."""
+    """A square matrix as new lists of ints, the rows a Jacobi-Trudi matrix
+    is read into: ``bareiss_determinant`` eliminates in them with no copy or
+    check."""
 
 
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -421,7 +424,7 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     depend on a row's scale, so the pivot search reads stale rows, and a swap
     moves ``done`` with the rows.  A matrix that is not square, or has an
     entry that is not an ``int``, is refused: the divisions floor a float.
-    The ``_IntRows`` of ``skew_schur_eval`` hold ints by construction, so they
+    The ``_IntRows`` of a Jacobi-Trudi matrix hold ints by construction, so they
     skip that check, which cost about a tenth of each of its determinants.
     """
     n = len(matrix)
@@ -456,13 +459,18 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
             for j in range(k, n):
                 row[j] = row[j] * prev // base
         p = row[k]
-        for i in range(k + 1, n):
+        rest = range(k + 1, n)
+        for i in rest:
             r = m[i]
             f = r[k]
             if f:
                 base = pivots[done[i]]
-                for j in range(k + 1, n):
-                    r[j] = (r[j] * p - f * row[j]) // base
+                if base == 1:
+                    for j in rest:
+                        r[j] = r[j] * p - f * row[j]
+                else:
+                    for j in rest:
+                        r[j] = (r[j] * p - f * row[j]) // base
                 done[i] = k + 1
         pivots.append(p)
     last = m[n - 1][n - 1]
@@ -471,18 +479,74 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     return sign * last
 
 
+def _top_degree(shapes: Sequence[SkewShape]) -> int:
+    """D, the top degree read by any shape's Jacobi-Trudi matrix, 0 for none.
+
+    Entry (i, j) of the matrix of outer/inner with r rows is h_{a_i - b_j},
+    a_i = outer_i - i and b_j = inner_j - j; both strictly decrease, so D is
+    a_1 - b_r = outer_1 - inner_r + r - 1.
+    """
+    return max(
+        (s.outer[0] - s.inner.part(s.rows) + s.rows - 1 for s in shapes if s.rows), default=0
+    )
+
+
+def _index_rows(shape: SkewShape, zero: int) -> list[itemgetter]:
+    """The Jacobi-Trudi matrix of ``shape`` as one ``itemgetter`` per row, to
+    read from h_0..h_D followed by a 0 at index ``zero``: entry (i, j) is
+    a_i - b_j, or ``zero`` where a_i < b_j.  A one-row shape's getter
+    returns its one h-value, not a tuple."""
+    a = [p - i for i, p in enumerate(shape.outer, 1)]
+    b = [shape.inner.part(j) - j for j in range(1, shape.rows + 1)]
+    return [itemgetter(*[x - y if x >= y else zero for y in b]) for x in a]
+
+
+def _checked(h: Sequence[int], top: int) -> list[int]:
+    """h_0..h_top followed by the 0 that ``_index_rows`` reads where
+    a_i < b_j; an h-value that is not an ``int`` is refused."""
+    for d in range(top + 1):
+        if not isinstance(h[d], int):
+            raise ValueError(f"h_{d} is not an integer: {h[d]!r}")
+    return [*h[: top + 1], 0]
+
+
+def _determinant(rows: list[itemgetter], h: list[int]) -> int:
+    """The determinant of the matrix laid out as ``rows``, read from ``h``."""
+    if len(rows) == 1:
+        return rows[0](h)
+    return bareiss_determinant(_IntRows([[*row(h)] for row in rows]))
+
+
 def h_values(shapes: Sequence[SkewShape], values: Sequence[int]) -> list[int]:
     """h_0..h_D at ``values``, D the top degree read by any shape's determinant.
 
-    Entry (i, j) of the Jacobi-Trudi matrix of outer/inner with r rows is
-    h_{a_i - b_j}, a_i = outer_i - i and b_j = inner_j - j; both strictly
-    decrease, so the top degree is a_1 - b_r = outer_1 - inner_r + r - 1.
-    One vector serves every shape evaluated at the same point.
+    One vector serves every shape evaluated at the same point, as
+    ``skew_schur_eval``'s ``h``.  A multipoint verification reads the same
+    vector through ``skew_schur_evaluator``, which builds the shapes'
+    layout once per verification and the h-vector once per point.
     """
-    top = max(
-        (s.outer[0] - s.inner.part(s.rows) + s.rows - 1 for s in shapes if s.rows), default=0
-    )
-    return complete_homogeneous_values(values, top)
+    return complete_homogeneous_values(values, _top_degree(shapes))
+
+
+def skew_schur_evaluator(shapes: Sequence[SkewShape]) -> Callable[[Sequence[int]], list[int]]:
+    """The values of ``shapes`` at one integer point, as a function of the point.
+
+    Each shape's Jacobi-Trudi matrix is laid out once, here, as index rows
+    into one h-vector; at each point the evaluator computes h_0..h_D once,
+    D the top degree of all the shapes, and gives each shape 0 when it has a
+    column taller than the point's nonzero coordinates, its one h-value
+    when it has one row, and otherwise its determinant, as
+    ``skew_schur_eval`` would.  Nothing outlives the returned function.
+    """
+    top = _top_degree(shapes)
+    layout = [(s.max_column_height, _index_rows(s, top + 1)) for s in shapes]
+
+    def values_at(values: Sequence[int]) -> list[int]:
+        h = _checked(complete_homogeneous_values(values, top), top)
+        nonzero = len(values) - values.count(0)
+        return [0 if height > nonzero else _determinant(rows, h) for height, rows in layout]
+
+    return values_at
 
 
 def skew_schur_eval(
@@ -502,21 +566,13 @@ def skew_schur_eval(
     that is not an ``int``, as at a point with a float coordinate, is
     refused: the elimination would floor it.
     """
-    lam, mu = shape.outer, shape.inner
-    r = len(lam)
-    if r == 0:
+    if not shape.rows:
         return 1
-    a = [p - i for i, p in enumerate(lam, 1)]
-    b = [p - j for j, p in enumerate((*mu, *(0,) * (r - len(mu))), 1)]
-    top = a[0] - b[-1]
+    top = _top_degree((shape,))
     if h is not None and len(h) <= top:
         raise ValueError(f"h has {len(h)} values, but {shape} needs {top + 1} (h_0..h_{top})")
     if shape.max_column_height > len(values) - values.count(0):
         return 0
     if h is None:
-        h = h_values((shape,), values)
-    # the matrix holds zeros and h_0..h_top, so checking these checks every entry
-    for d in range(top + 1):
-        if not isinstance(h[d], int):
-            raise ValueError(f"h_{d} is not an integer: {h[d]!r}")
-    return bareiss_determinant(_IntRows([[h[x - y] if x >= y else 0 for y in b] for x in a]))
+        h = complete_homogeneous_values(values, top)
+    return _determinant(_index_rows(shape, top + 1), _checked(h, top))

@@ -33,6 +33,7 @@ from schurpaths import (
     minimal_alphabet,
     recolouring_expansion,
     skew_schur_eval,
+    skew_schur_evaluator,
     verify_identity,
 )
 from schurpaths import identities, schur
@@ -204,6 +205,68 @@ class TestRecolouringExpansion:
         identity = border_strip_identity(LAM, MU, STRIPS, alphabet=11)
         assert (len(identity.rhs), len(built)) == (3, 1)
 
+
+    def test_dodgson_condensation(self):
+        """Desnanot-Jacobi on the Jacobi-Trudi matrix M of a seeded lam/mu
+        with r = 3..8 rows, det M det M^{1r}_{1r} = det M^1_1 det M^r_r -
+        det M^1_r det M^r_1, is the expansion of s_A s_B through either
+        inward point, A = M^1_1 on r - 1 rows at shift -1 and B = M^r_r on
+        r - 1 rows at shift 0: the terms are s_D s_E and s_{lam/mu} s_C,
+        C = M^{1r}_{1r}, D = M^1_r and E = M^r_1, each shape up to the
+        canonical shift, with the colours swapped through the point at level
+        N, and a zero term in place of s_D s_E exactly when D is not a skew
+        shape (E always is).  At a seeded point the Bareiss minors of M equal
+        ``skew_schur_evaluator``'s values of the shapes, and a minor whose
+        shape is not skew is 0."""
+
+        def shape(outer, inner):
+            # the canonical shift takes the least part to 0, the last of inner
+            return SkewShape(*(Partition([p - inner[-1] for p in ps]) for ps in (outer, inner)))
+
+        def minor(m, row, col):
+            return [[x for j, x in enumerate(r) if j != col] for i, r in enumerate(m) if i != row]
+
+        rng = random.Random(31)
+        kinds = Counter()
+        for _ in range(300):
+            r = rng.randint(3, 8)
+            lam = sorted((rng.randint(1, 7) for _ in range(r)), reverse=True)
+            cap = sorted((rng.randint(0, 6) for _ in range(r)), reverse=True)
+            mu = [min(p, q) for p, q in zip(lam, cap)]
+            a, b = SkewShape(P(*lam[1:]), P(*mu[1:])), SkewShape(P(*lam[:-1]), P(*mu[:-1]))
+            whole, c = shape(lam, mu), shape(lam[1:-1], mu[1:-1])
+            d_parts = ([p - 1 for p in lam[1:]], mu[:-1])
+            e_parts = ([p + 1 for p in lam[:-1]], mu[1:])
+            skew = all(q <= p for outer, inner in (d_parts, e_parts) for p, q in zip(outer, inner))
+            pairs = [(shape(*d_parts), shape(*e_parts)) if skew else (None, None), (whole, c)]
+            config = configuration_from_shapes(a, b, (-1, 0), (r - 1, r - 1))
+            inward = {p.top: p.x for p in config.inward_points()}
+            assert len(inward) == 2
+            for top, x in inward.items():
+                terms = recolouring_expansion(a, b, [(x, top)], shifts=(-1, 0), rows=(r - 1, r - 1))
+                assert terms == tuple(ProductTerm(*(p[::-1] if top else p)) for p in pairs)
+            kinds[skew] += 1
+            point = [rng.randint(-3, 4) for _ in range(rng.randint(2, r + 1))]
+            h = complete_homogeneous_values(point, lam[0] - mu[-1] + r - 1)
+            m = [[h[x - y] if x >= y else 0 for y in (q - j for j, q in enumerate(mu))]
+                 for x in (p - i for i, p in enumerate(lam))]
+            det = {
+                "whole": bareiss_determinant(m),
+                "c": bareiss_determinant(minor(minor(m, 0, 0), r - 2, r - 2)),
+                "a": bareiss_determinant(minor(m, 0, 0)),
+                "b": bareiss_determinant(minor(m, r - 1, r - 1)),
+                "d": bareiss_determinant(minor(m, 0, r - 1)),
+                "e": bareiss_determinant(minor(m, r - 1, 0)),
+            }
+            assert det["whole"] * det["c"] == det["a"] * det["b"] - det["d"] * det["e"]
+            shapes = {"whole": whole, "c": c, "a": a, "b": b}
+            if skew:
+                shapes.update(d=shape(*d_parts), e=shape(*e_parts))
+            else:
+                assert det["d"] == 0
+            values = skew_schur_evaluator(list(shapes.values()))(point)
+            assert dict(zip(shapes, values)) == {k: det[k] for k in shapes}, (lam, mu, point)
+        assert kinds[True] > 0 and kinds[False] > 0, kinds
 
 class TestBorderStripIdentity:
     def test_golden_terms(self):
@@ -450,24 +513,37 @@ class TestVerify:
         assert calls == [p for p, _, _ in report.per_point]
 
     def test_each_distinct_shape_evaluated_once_per_point(self, monkeypatch):
-        """s_A s_B = s_B s_A holds four shapes, two of them distinct: two
-        evaluations per point, and two for the tableau count."""
-        calls = []
+        """s_A s_B = s_B s_A holds four shapes, two of them distinct: each is
+        laid out once per verification, and has one determinant at each point
+        where no column is taller than the nonzero coordinates; the tableau
+        count lays out and evaluates each once."""
+        layouts, determinants = [], []
 
-        def counting(shape, values, h=None):
-            calls.append(shape)
-            return skew_schur_eval(shape, values, h)
+        def laying_out(shape, zero):
+            layouts.append(shape)
+            return index_rows(shape, zero)
 
-        monkeypatch.setattr(identities, "skew_schur_eval", counting)
+        def counting(matrix):
+            determinants.append(len(matrix))
+            return bareiss_determinant(matrix)
+
+        index_rows = schur._index_rows
+        monkeypatch.setattr(schur, "_index_rows", laying_out)
+        monkeypatch.setattr(schur, "bareiss_determinant", counting)
         a, b = SkewShape(P(2, 1)), SkewShape(P(3, 1), P(1))
         ident = Identity((ProductTerm(a, b),), (ProductTerm(b, a),), 3)
         assert len(ident.all_shapes()) == 4
-        assert verify_identity(ident, method="multipoint", points=5, seed=1).passed
-        assert calls == [a, b] * 5
-        calls.clear()
+        report = verify_identity(ident, method="multipoint", points=5, seed=2)
+        assert report.passed and layouts == [a, b]
+        # both shapes have two rows; a's column of 2 needs two nonzero
+        # coordinates and b's columns of 1 need one
+        nonzero = [len(p) - p.count(0) for p, _, _ in report.per_point]
+        live = sum((k >= 2) + (k >= 1) for k in nonzero)
+        assert determinants == [2] * live and live == 8
         tableaux = skew_schur_eval(a, (1, 1, 1)) + skew_schur_eval(b, (1, 1, 1))
+        layouts.clear(), determinants.clear()
         assert estimate_expansion_size(ident) == 2 * tableaux
-        assert calls == [a, b]
+        assert layouts == [a, b] and determinants == [2, 2]
 
     def test_multipoint_skips_determinants_of_vanishing_shapes(self, monkeypatch):
         """A shape with a column taller than a point's nonzero coordinates is
@@ -494,7 +570,9 @@ class TestVerify:
             verify_identity(false, method="multipoint", points=20, seed=s).passed for s in range(30)
         )
         assert passes == 6
-        assert len(calls) == 650
+        # the column has a determinant at the 50 of the 600 points with all
+        # 11 coordinates nonzero; s_1 has one row, read as h_1 with none
+        assert calls == [11] * 50
 
     def test_negative_control_drops_term(self):
         ident = border_strip_identity(LAM, MU, STRIPS, alphabet=11)

@@ -17,6 +17,7 @@ from schurpaths import (
     h_values,
     skew_schur,
     skew_schur_eval,
+    skew_schur_evaluator,
     weight,
 )
 from conftest import FamilySampler, exact_determinant, shapes_up_to
@@ -456,6 +457,39 @@ class TestEvalOracle:
                         vanishing += 1
                     off_staircase += min(point) < 0 and 0 in own
         assert vanishing > 0 and off_staircase > 0
+
+    def test_evaluator_agrees_shape_by_shape(self):
+        """``skew_schur_evaluator`` lays several shapes out against one
+        h-vector of their common top degree and gives each the value that
+        ``skew_schur_eval`` and the expansion give, at seeded points with
+        zero and negative coordinates; the draws include the empty shape,
+        one-row shapes and columns taller than the nonzero coordinates."""
+        pool = list(shapes_up_to(6))
+        rng = random.Random(29)
+        seen = Counter()
+        for _ in range(120):
+            n = rng.randint(1, 4)
+            shapes = rng.sample(pool, rng.randint(1, 5))
+            values_at = skew_schur_evaluator(shapes)
+            tops = {len(h_values((shape,), ())) for shape in shapes}
+            seen["shared"] += len(tops) > 1
+            for _ in range(3):
+                point = [rng.randint(-3, 4) for _ in range(n)]
+                if rng.random() < 0.4:
+                    point[rng.randrange(n)] = 0
+                values = values_at(point)
+                assert len(values) == len(shapes)
+                nonzero = n - point.count(0)
+                seen["zero"] += nonzero < n
+                for shape, value in zip(shapes, values):
+                    assert value == skew_schur_eval(shape, point), (shape, point)
+                    assert value == skew_schur(shape, n).evaluate(point), (shape, point)
+                    seen["empty"] += shape.rows == 0
+                    seen["one row"] += shape.rows == 1
+                    seen["tall"] += shape.max_column_height > nonzero
+        assert set(seen) == {"shared", "zero", "empty", "one row", "tall"}
+        assert min(seen.values()) > 0, seen
+        assert skew_schur_evaluator([])((1, 2)) == []
 
     def test_dual_jacobi_trudi_in_e(self):
         """A second route in Lambda_N = Z[e_1..e_N] (Macdonald, I.2-3): at

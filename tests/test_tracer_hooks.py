@@ -33,6 +33,9 @@ READ_ZERO = {
     "schur.Polynomial.mul":
         "full reads the products at their dominant exponents (schur.dominant_products)",
     "schur.Polynomial.add": "full sums the sides' dominant coefficients, not polynomials",
+    "schur.skew_schur_eval":
+        "multipoint reads schur.skew_schur_evaluator, which lays each shape out once per "
+        "verification; only the s command, which the script does not run, calls skew_schur_eval",
 }
 
 SCRIPT = """
