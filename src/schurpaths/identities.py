@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .overlay import CircularConfiguration, admissible_flip_sets
 from .partitions import (
@@ -246,12 +246,28 @@ def border_strip_identity(
     return Identity((ProductTerm(white, black),), rhs, alphabet, "border-strip expansion")
 
 
+def _layout(identity: Identity) -> tuple[Callable, list[list[tuple[int, int]]]]:
+    """The evaluator of the identity's distinct shapes, and each side's
+    products as pairs of indices into its values."""
+    shapes = list(dict.fromkeys(identity.all_shapes()))
+    at = {s: i for i, s in enumerate(shapes)}
+    products = [
+        [(at[t.white], at[t.black]) for t in side if not t.zero]
+        for side in (identity.lhs, identity.rhs)
+    ]
+    return skew_schur_evaluator(shapes), products
+
+
+def _tableaux(values_at: Callable, products: list[list[tuple[int, int]]], n: int) -> int:
+    """The tableau count of every shape of the products at alphabet ``n``:
+    each shape's value at n ones."""
+    count = values_at((1,) * n)
+    return sum(count[i] + count[j] for side in products for i, j in side)
+
+
 def estimate_expansion_size(identity: Identity) -> int:
     """Total tableau count over every shape of the identity at its alphabet."""
-    shapes = identity.all_shapes()
-    distinct = list(dict.fromkeys(shapes))
-    count = dict(zip(distinct, skew_schur_evaluator(distinct)((1,) * identity.alphabet)))
-    return sum(map(count.__getitem__, shapes))
+    return _tableaux(*_layout(identity), identity.alphabet)
 
 
 def verify_identity(
@@ -273,7 +289,8 @@ def verify_identity(
     determinant per distinct shape (a shape with a column taller than the
     point's nonzero coordinates is 0 there and needs none, a one-row shape
     is its one h-value); ``auto`` picks full when the estimated tableau
-    count fits ``AUTO_BUDGET``.
+    count fits ``AUTO_BUDGET``, reading it at all ones off the evaluator
+    that multipoint then uses, so each shape is laid out once.
     Failures carry the witnessing point.  ``points`` below 1 is refused
     whatever the method.
     """
@@ -281,8 +298,10 @@ def verify_identity(
     n, sides = identity.alphabet, (identity.lhs, identity.rhs)
     if points < 1:
         raise ValueError(f"verification needs at least one point, got {points}")
+    if method in ("auto", "multipoint"):
+        values_at, products = _layout(identity)
     if method == "auto":
-        method = "full" if estimate_expansion_size(identity) <= AUTO_BUDGET else "multipoint"
+        method = "full" if _tableaux(values_at, products, n) <= AUTO_BUDGET else "multipoint"
     if method == "full":
         lhs, rhs = (
             dominant_products(
@@ -300,10 +319,6 @@ def verify_identity(
     if method != "multipoint":
         raise ValueError(f"unknown method {method!r}")
     rng = random.Random(seed)
-    shapes = list(dict.fromkeys(identity.all_shapes()))
-    at = {s: i for i, s in enumerate(shapes)}
-    products = [[(at[t.white], at[t.black]) for t in side if not t.zero] for side in sides]
-    values_at = skew_schur_evaluator(shapes)
     per_point = []
     for _ in range(points):
         point = tuple(rng.randint(0, 4) for _ in range(n))

@@ -132,19 +132,24 @@ class CircularConfiguration:
 
     def family_xs(self, flips: Iterable[int] = ()) -> dict[Colour, tuple[list[int], list[int]]]:
         """Each colour's start and end xs, strictly decreasing, white first, with
-        the points at indices ``flips`` recoloured; one pass over the points.
+        the points at indices ``flips`` recoloured.  One pass over the points
+        appends each x to one of four lists, each seeded with the doubled xs of
+        its level, chosen by whether the point ends up white (its colour is
+        white xor it is flipped) and by its level; the lists are then sorted.
         An index that names no point is refused."""
         flips = set(flips)
         stray = flips.difference(range(1, len(self.points) + 1))
         if stray:
             raise ValueError(f"no coloured point has index {min(stray)}")
-        xs = {c: ([*self.doubled_bottom], [*self.doubled_top]) for c in Colour}
-        for p in self.points:
-            xs[p.colour.other if p.index in flips else p.colour][p.top].append(p.x)
-        for starts, ends in xs.values():
-            starts.sort(reverse=True)
-            ends.sort(reverse=True)
-        return xs
+        white = ([*self.doubled_bottom], [*self.doubled_top])
+        black = ([*self.doubled_bottom], [*self.doubled_top])
+        # at 2 * (ends up white) + top: black starts, black ends, white starts, white ends
+        lists, was_white = (*black, *white), Colour.WHITE
+        for i, p in enumerate(self.points, 1):
+            lists[2 * ((p.colour is was_white) is not (i in flips)) + p.top].append(p.x)
+        for xs in lists:
+            xs.sort(reverse=True)
+        return {Colour.WHITE: white, Colour.BLACK: black}
 
     def shapes(
         self, flips: Iterable[int] = ()
@@ -352,11 +357,14 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
     original.  ``family_xs`` gives each colour's xs with the endpoints as
     flips; they are decoded into shapes and shifts as the expansion decodes
     its terms, and each row is walked off the recoloured arcs between them.
-    The new overlay is assembled from the recoloured maps from tail and the
-    configuration of those xs, as ``Overlay`` assembles one from the maps it
-    draws; no path is drawn.  Recolouring keeps the doubled arcs: a trace
-    stops before one, and an arc recoloured onto an arc of its new colour is
-    refused for their shared tail.
+    The new configuration is this overlay's with a point of the other
+    colour at each endpoint: recolouring moves no point and doubles none,
+    so the circular order and the doubled points stay, and only the
+    constructor's checks run again.  The new overlay is assembled from the
+    recoloured maps from tail and that configuration, as ``Overlay``
+    assembles one from the maps it draws; no path is drawn.  Recolouring
+    keeps the doubled arcs: a trace stops before one, and an arc recoloured
+    onto an arc of its new colour is refused for their shared tail.
     """
     chosen = list(chosen)
     flip_arcs: dict[Arc, Colour] = {}
@@ -394,7 +402,13 @@ def recolour(ov: Overlay, chosen: Iterable[BicolouredPath]) -> Overlay:
     for colour, (shape, shift) in zip(Colour, shapes):
         rows = [_walk(out[colour], (x, 1), (e, ov.top)) for x, e in zip(*xs[colour])]
         families.append(PathFamily(Tableau(shape, rows[: shape.rows], ov.top), shift, len(rows)))
-    configuration = CircularConfiguration.from_point_sets(*xs[Colour.WHITE], *xs[Colour.BLACK])
+    points = list(ov.configuration.points)
+    for i in flip_indices:
+        p = points[i - 1]
+        points[i - 1] = ColouredPoint(p.x, p.top, p.colour.other, i)
+    configuration = CircularConfiguration(
+        tuple(points), ov.configuration.doubled_top, ov.configuration.doubled_bottom
+    )
     result = Overlay.__new__(Overlay)
     result._assemble(*families, out, configuration)
     return result

@@ -12,7 +12,7 @@ test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index, le, lt
+from operator import add, index, le, lt
 from typing import Iterable, Iterator, Sequence
 
 
@@ -115,8 +115,11 @@ class SkewShape:
     inner: Partition = Partition()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "outer", Partition(self.outer))
-        object.__setattr__(self, "inner", Partition(self.inner))
+        # a Partition was checked when it was made
+        if type(self.outer) is not Partition:
+            object.__setattr__(self, "outer", Partition(self.outer))
+        if type(self.inner) is not Partition:
+            object.__setattr__(self, "inner", Partition(self.inner))
         if not self.outer.contains(self.inner):
             raise ValueError(f"inner {self.inner} does not fit inside outer {self.outer}")
 
@@ -179,15 +182,25 @@ def canonical_shape(starts: Sequence[int], ends: Sequence[int]) -> tuple[SkewSha
 
     The shift is the largest one for which both decoded partitions are
     nonnegative, which makes the smallest decoded part zero; with no points
-    it is 0 and the shape is empty.  Each side's points are read into parts
-    in one pass, refused with :class:`PointSet`'s messages, ends first.
+    it is 0 and the shape is empty.  The points are refused with
+    :class:`PointSet`'s messages, ends first.  Each side's parts
+    x_i + i - shift are then read in one C-level pass and made a
+    ``Partition`` with no second check: the points are integers that
+    strictly decrease, so x_i + i weakly decreases in i, and at the largest
+    nonnegative shift no part is negative, so the zeros are the trailing
+    parts, which are dropped.  No refusal of ``Partition`` could fire.
     """
-    # the points strictly decrease, so x_i + i weakly decreases in i: the
-    # least is at the last point, and no part is negative
+    ends, starts = _points(ends), _points(starts)
     shift = min((points[-1] + len(points) for points in (starts, ends) if points), default=0)
-    outer = Partition([x + i - shift for i, x in enumerate(_points(ends), 1)])
-    inner = Partition([x + i - shift for i, x in enumerate(_points(starts), 1)])
-    return SkewShape(outer, inner), shift
+    return SkewShape(_parts(ends, shift), _parts(starts, shift)), shift
+
+
+def _parts(points: tuple[int, ...], shift: int) -> Partition:
+    """The parts x_i + i - shift of checked points at a shift that leaves
+    none negative, trailing zeros dropped, as a ``Partition``."""
+    parts = list(map(add, points, range(1 - shift, len(points) + 1 - shift)))
+    del parts[len(parts) - parts.count(0) :]
+    return tuple.__new__(Partition, parts)
 
 
 @dataclass(frozen=True)

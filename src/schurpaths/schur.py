@@ -391,8 +391,11 @@ def dominant_products(pairs: Sequence[tuple[Polynomial, Polynomial]], nvars: int
 def complete_homogeneous_values(values: Sequence[int], max_degree: int) -> list[int]:
     """h_d evaluated at ``values`` for d = 0..max_degree.
 
-    A zero coordinate leaves every h_d as it is, so it is skipped.
+    A zero coordinate leaves every h_d as it is, so it is skipped.  A
+    negative ``max_degree`` is refused.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative: {max_degree}")
     h = [0] * (max_degree + 1)
     h[0] = 1
     for v in values:

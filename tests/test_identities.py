@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -34,6 +35,7 @@ from schurpaths import (
     recolouring_expansion,
     skew_schur_eval,
     skew_schur_evaluator,
+    to_points,
     verify_identity,
 )
 from schurpaths import identities, schur
@@ -267,6 +269,84 @@ class TestRecolouringExpansion:
             values = skew_schur_evaluator(list(shapes.values()))(point)
             assert dict(zip(shapes, values)) == {k: det[k] for k in shapes}, (lam, mu, point)
         assert kinds[True] > 0 and kinds[False] > 0, kinds
+
+    def test_plucker_relation(self):
+        """The three-term Plucker relation on the maximal minors of an
+        r x (r + 2) matrix, r = 2..6, Delta_ac Delta_bd = Delta_ab Delta_cd +
+        Delta_ad Delta_bc, is the expansion of s_A s_B through either inward
+        point.  Delta_X has the columns S + X of h_{e - x}, for the r ends e
+        and the r + 2 start columns x, where |S| = r - 2 and a < b < c < d are
+        the rest.  A starts at S + {a, c} and B at S + {b, d}, both end at the
+        r ends, so only a, b, c and d are coloured, and they alternate.
+        Recolouring through b swaps b with a, then with c; through d it swaps
+        d with c, then with a.  Each term is compared as the starts and ends
+        of its decoded shapes, up to one shift per shape (read by
+        ``to_points``, not by ``canonical_shape``), and a pair with a factor
+        whose starts pass its ends is a zero term.  Draws in which A or B has
+        such a factor are skipped.  At a seeded point the Bareiss minors
+        satisfy the relation and equal the values of the decoded shapes; a
+        zero term's minors multiply to 0."""
+
+        def passes(starts, ends):
+            return any(x > e for x, e in zip(starts, ends))
+
+        def up_to_shift(shape, starts, ends):
+            rows = len(ends)
+            got = [to_points(p, rows).values for p in (shape.inner, shape.outer)]
+            t = ends[0] - got[1][0]
+            return [[x + t for x in xs] for xs in got] == [starts, ends]
+
+        rng = random.Random(32)
+        skipped, zero = 0, Counter()
+        for _ in range(300):
+            r = rng.randint(2, 6)
+            ends = sorted(rng.sample(range(3 * r), r), reverse=True)
+            columns = rng.sample(range(-r, 2 * r + 2), r + 2)
+            a, b, c, d = sorted(columns[:4])
+            cols = {
+                pair: sorted([*columns[4:], *pair], reverse=True)
+                for pair in itertools.combinations((a, b, c, d), 2)
+            }
+            if passes(cols[a, c], ends) or passes(cols[b, d], ends):
+                skipped += 1
+                continue
+            # a shift that leaves no part negative: the least x of all
+            t = min(*ends, *columns)
+            white, black = (
+                SkewShape(*(P(*(x + i - t for i, x in enumerate(xs, 1))) for xs in (ends, starts)))
+                for starts in (cols[a, c], cols[b, d])
+            )
+            config = configuration_from_shapes(white, black, (t, t), (r, r))
+            assert [(p.x, p.inward) for p in config.points] == [
+                (a, False), (b, True), (c, False), (d, True)
+            ]
+            point = [rng.randint(-3, 4) for _ in range(rng.randint(1, r + 1))]
+            h = complete_homogeneous_values(point, ends[0] - min(columns))
+            minor = {
+                pair: bareiss_determinant([[h[e - x] if e >= x else 0 for x in xs] for e in ends])
+                for pair, xs in cols.items()
+            }
+            ac_bd = minor[a, c] * minor[b, d]
+            assert ac_bd == minor[a, b] * minor[c, d] + minor[a, d] * minor[b, c]
+            # each term's white and black pair, in the expansion's order
+            for x, want in (
+                (b, [((b, c), (a, d)), ((a, b), (c, d))]),
+                (d, [((a, d), (b, c)), ((c, d), (a, b))]),
+            ):
+                terms = recolouring_expansion(white, black, [(x, 1)], shifts=(t, t), rows=(r, r))
+                assert len(terms) == 2
+                for term, pairs in zip(terms, want):
+                    zero[term.zero] += 1
+                    if any(passes(cols[p], ends) for p in pairs):
+                        assert term.zero and minor[pairs[0]] * minor[pairs[1]] == 0
+                        continue
+                    shapes = term.shapes()
+                    for shape, p in zip(shapes, pairs):
+                        assert up_to_shift(shape, cols[p], ends), (x, p, term)
+                    values = skew_schur_evaluator(shapes)(point)
+                    assert values == [minor[p] for p in pairs], (x, pairs, point)
+        assert skipped > 0 and zero[True] > 0 and zero[False] > 500, (skipped, zero)
+
 
 class TestBorderStripIdentity:
     def test_golden_terms(self):
@@ -516,7 +596,8 @@ class TestVerify:
         """s_A s_B = s_B s_A holds four shapes, two of them distinct: each is
         laid out once per verification, and has one determinant at each point
         where no column is taller than the nonzero coordinates; the tableau
-        count lays out and evaluates each once."""
+        count lays out and evaluates each once, and under auto it is read off
+        the layout that multipoint then uses, so each shape is laid out once."""
         layouts, determinants = [], []
 
         def laying_out(shape, zero):
@@ -544,6 +625,19 @@ class TestVerify:
         layouts.clear(), determinants.clear()
         assert estimate_expansion_size(ident) == 2 * tableaux
         assert layouts == [a, b] and determinants == [2, 2]
+        # auto reads the tableau count off the evaluator it verifies with,
+        # whichever method it picks
+        layouts.clear(), determinants.clear()
+        assert verify_identity(ident, method="auto").method == "full"
+        assert layouts == [a, b] and determinants == [2, 2]
+        monkeypatch.setattr(identities, "AUTO_BUDGET", 2 * tableaux - 1)
+        layouts.clear(), determinants.clear()
+        report = verify_identity(ident, method="auto", points=5, seed=2)
+        assert report.method == "multipoint" and report.passed and layouts == [a, b]
+        assert determinants == [2, 2] + [2] * live
+        # full forced lays nothing out
+        layouts.clear()
+        assert verify_identity(ident, method="full").passed and layouts == []
 
     def test_multipoint_skips_determinants_of_vanishing_shapes(self, monkeypatch):
         """A shape with a column taller than a point's nonzero coordinates is

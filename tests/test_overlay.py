@@ -611,6 +611,62 @@ class TestRecolourAssembly:
         )
 
 
+def _family_xs_reference(config, flips):
+    """Each colour's start and end xs, the points at ``flips`` recoloured one
+    by one, then sorted: the oracle of ``family_xs``."""
+    xs = {c: ([*config.doubled_bottom], [*config.doubled_top]) for c in Colour}
+    for p in config.points:
+        colour = p.colour.other if p.index in flips else p.colour
+        xs[colour][1 if p.top else 0].append(p.x)
+    return {c: tuple(sorted(side, reverse=True) for side in xs[c]) for c in Colour}
+
+
+class TestRecolouredConfiguration:
+    """``recolour`` derives its configuration from the overlay's by swapping
+    the colours of the chosen paths' endpoints; the oracle builds it afresh
+    with ``from_point_sets`` from the recoloured xs.  ``family_xs`` is checked
+    against a per-point recolour-and-sort reference."""
+
+    @staticmethod
+    def _check(ov, chosen):
+        once = recolour(ov, chosen)
+        flips = {p.index for bp in chosen for p in (bp.start, bp.end)}
+        assert once.configuration == recoloured_configuration(ov.configuration, flips)
+        again = [trace_bicoloured(once, q.start.x, once.top if q.start.top else 1) for q in chosen]
+        assert recolour(once, again).configuration == ov.configuration
+
+    @pytest.mark.parametrize("make", [demo_overlay_small, demo_overlay_large])
+    def test_gallery_every_subset(self, make):
+        ov = make()
+        paths, _ = all_bicoloured(ov)
+        subsets = [c for r in range(len(paths) + 1) for c in itertools.combinations(paths, r)]
+        assert len(subsets) == 2 ** len(paths) >= 32
+        for chosen in subsets:
+            self._check(ov, chosen)
+
+    def test_seeded_random_overlays(self):
+        rng = random.Random(3201)
+        checked = 0
+        for ov in random_overlays(seed=3202, count=100):
+            paths, _ = all_bicoloured(ov)
+            if paths:
+                self._check(ov, rng.sample(paths, rng.randint(1, len(paths))))
+                checked += 1
+        assert checked >= 90
+
+    def test_family_xs_against_reference(self):
+        rng = random.Random(3203)
+        configs = [demo_overlay_small().configuration, demo_overlay_large().configuration]
+        configs += [alternating_configuration(rng, k) for k in range(1, 9) for _ in range(4)]
+        for config in configs:
+            indices = [p.index for p in config.points]
+            for _ in range(20):
+                flips = rng.sample(indices, rng.randint(0, len(indices)))
+                got = config.family_xs(flips)
+                assert list(got) == [Colour.WHITE, Colour.BLACK]
+                assert got == _family_xs_reference(config, set(flips))
+
+
 def _pattern_config(inward):
     pts = []
     for k, o in enumerate(inward):

@@ -172,6 +172,48 @@ class TestPoints:
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             self.point_set_route(starts, ends)
 
+    @staticmethod
+    def partition_route(starts, ends):
+        """The decode through validated ``Partition(...)`` calls, at the same shift."""
+        shift = min((xs[-1] + len(xs) for xs in (starts, ends) if xs), default=0)
+        outer, inner = (
+            Partition([x + i - shift for i, x in enumerate(xs, 1)]) for xs in (ends, starts)
+        )
+        return SkewShape(outer, inner), shift
+
+    def test_canonical_shape_agrees_with_partition_route(self):
+        """``canonical_shape`` makes its partitions with no second check; a
+        seeded sweep, empty, single and negative points included, decodes as
+        validated partitions do, to a ``Partition`` with no trailing zero."""
+        cases = [((), ()), ((0,), (0,)), ((-5,), (-1,)), ((-9, -12), (-3, -11))]
+        rng = random.Random(3207)
+        while len(cases) < 800:
+            n = rng.randint(0, 6)
+            ends = sorted(rng.sample(range(-20, 8), n), reverse=True)
+            starts = sorted(rng.sample(range(-24, 8), n), reverse=True)
+            if all(s <= e for s, e in zip(starts, ends)):
+                cases.append((starts, ends))
+        for starts, ends in cases:
+            shape, shift = canonical_shape(starts, ends)
+            assert (shape, shift) == self.partition_route(starts, ends)
+            for p in (shape.outer, shape.inner):
+                assert type(p) is Partition and 0 not in p and list(p) == sorted(p, reverse=True)
+
+    @pytest.mark.parametrize(
+        "starts, ends, message",
+        [
+            (("a",), (1,), "points must be integers: 'a'"),
+            ((2, 3), ("b", 0), "points must be integers: 'b'"),
+            ((3, 3), (5.5, 4), "points must be integers: 5.5"),
+            ((1, 2), (4, 4), "point set must strictly decrease: 4 then 4"),
+        ],
+        ids=["str-start", "str-end-before-rising-start", "float-end-first", "ends-first"],
+    )
+    def test_canonical_shape_refuses_ends_first(self, starts, ends, message):
+        # the ends are refused before the starts, and before a shift is read
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            canonical_shape(starts, ends)
+
     def test_canonical_shift_is_least_point_plus_row(self):
         rng = random.Random(11)
         for _ in range(500):

@@ -248,6 +248,12 @@ class TestHomogeneous:
             assert complete_homogeneous_values(point, 6) == reference, point
         assert complete_homogeneous_values((0, 0, 0), 3) == [1, 0, 0, 0]
 
+    @pytest.mark.parametrize("degree", [-1, -7])
+    def test_negative_degree_refused(self, degree):
+        with pytest.raises(ValueError, match=rf"^max_degree must be nonnegative: {degree}$"):
+            complete_homogeneous_values((1, 2), degree)
+        assert complete_homogeneous_values((1, 2), 0) == [1]
+
 
 def _counting_int() -> type:
     """A new int subclass that counts its multiplications in ``products``;
