@@ -55,7 +55,6 @@ from .schur import (
     bareiss_determinant,
     complete_homogeneous_values,
     dominant_terms,
-    h_values,
     skew_schur,
     skew_schur_eval,
     skew_schur_evaluator,

@@ -246,16 +246,16 @@ def border_strip_identity(
     return Identity((ProductTerm(white, black),), rhs, alphabet, "border-strip expansion")
 
 
-def _layout(identity: Identity) -> tuple[Callable, list[list[tuple[int, int]]]]:
-    """The evaluator of the identity's distinct shapes, and each side's
-    products as pairs of indices into its values."""
+def _layout(identity: Identity) -> tuple[list[SkewShape], list[list[tuple[int, int]]]]:
+    """The identity's distinct shapes, and each side's products as pairs of
+    indices into them."""
     shapes = list(dict.fromkeys(identity.all_shapes()))
     at = {s: i for i, s in enumerate(shapes)}
     products = [
         [(at[t.white], at[t.black]) for t in side if not t.zero]
         for side in (identity.lhs, identity.rhs)
     ]
-    return skew_schur_evaluator(shapes), products
+    return shapes, products
 
 
 def _tableaux(values_at: Callable, products: list[list[tuple[int, int]]], n: int) -> int:
@@ -267,7 +267,8 @@ def _tableaux(values_at: Callable, products: list[list[tuple[int, int]]], n: int
 
 def estimate_expansion_size(identity: Identity) -> int:
     """Total tableau count over every shape of the identity at its alphabet."""
-    return _tableaux(*_layout(identity), identity.alphabet)
+    shapes, products = _layout(identity)
+    return _tableaux(skew_schur_evaluator(shapes), products, identity.alphabet)
 
 
 def verify_identity(
@@ -278,56 +279,58 @@ def verify_identity(
 ) -> VerificationReport:
     """Compare the two sides exactly.
 
-    ``full`` compares the two sides as polynomials at their weakly
-    decreasing exponents alone (``schur.dominant_products``): both sides are
-    symmetric, so the lex-largest exponent at which they differ is one of
-    these, and so is the largest coefficient; ``multipoint`` evaluates at
-    ``points`` seeded random points with entries in 0..4 and requires
-    equality at every point, laying out each distinct shape's Jacobi-Trudi
-    matrix once per verification (``schur.skew_schur_evaluator``) and
-    computing the h-values once per point, one vector shared by one
-    determinant per distinct shape (a shape with a column taller than the
-    point's nonzero coordinates is 0 there and needs none, a one-row shape
-    is its one h-value); ``auto`` picks full when the estimated tableau
-    count fits ``AUTO_BUDGET``, reading it at all ones off the evaluator
-    that multipoint then uses, so each shape is laid out once.
-    Failures carry the witnessing point.  ``points`` below 1 is refused
-    whatever the method.
+    Each route reads the identity's distinct shapes once, each side a sum of
+    products of them.  ``full`` expands each distinct shape once
+    (``schur.skew_schur``) and compares the two sides as polynomials at
+    their weakly decreasing exponents alone (``schur.dominant_products``):
+    both sides are symmetric, so the lex-largest exponent at which they
+    differ is one of these, and so is the largest coefficient;
+    ``multipoint`` evaluates at ``points`` seeded random points with entries
+    in 0..4 and requires equality at every point, laying out each distinct
+    shape's Jacobi-Trudi matrix once per verification
+    (``schur.skew_schur_evaluator``) and computing the h-values once per
+    point, one vector shared by one determinant per distinct shape (a shape
+    with a column taller than the point's nonzero coordinates is 0 there and
+    needs none, a one-row shape is its one h-value); ``auto`` picks full
+    when the estimated tableau count fits ``AUTO_BUDGET``, reading it at all
+    ones off the evaluator that multipoint then uses, so each shape is laid
+    out once.  A failure carries its witness, the lex-largest differing
+    exponent or the first differing point, and the verdict is read from it.
+    ``points`` that is not an integer, or is below 1, is refused whatever
+    the method.
     """
     t0 = time.perf_counter()
-    n, sides = identity.alphabet, (identity.lhs, identity.rhs)
+    n = identity.alphabet
+    if type(points) is not int:
+        raise ValueError(f"points must be an integer, got {points!r}")
     if points < 1:
         raise ValueError(f"verification needs at least one point, got {points}")
+    shapes, products = _layout(identity)
     if method in ("auto", "multipoint"):
-        values_at, products = _layout(identity)
+        values_at = skew_schur_evaluator(shapes)
     if method == "auto":
         method = "full" if _tableaux(values_at, products, n) <= AUTO_BUDGET else "multipoint"
-    if method == "full":
-        lhs, rhs = (
-            dominant_products(
-                [(skew_schur(t.white, n), skew_schur(t.black, n)) for t in side if not t.zero], n
-            ).terms
-            for side in sides
-        )
-        max_abs = max(map(abs, [*lhs.values(), *rhs.values()]), default=0)
-        differ = [e for e in lhs.keys() | rhs.keys() if lhs.get(e) != rhs.get(e)]
-        witness = max(differ, default=None)
-        return VerificationReport(
-            "full", 0, None, "pass" if witness is None else "fail", witness,
-            max_abs, time.perf_counter() - t0,
-        )
-    if method != "multipoint":
-        raise ValueError(f"unknown method {method!r}")
-    rng = random.Random(seed)
     per_point = []
-    for _ in range(points):
-        point = tuple(rng.randint(0, 4) for _ in range(n))
-        value = values_at(point)
-        lv, rv = (sum(value[i] * value[j] for i, j in side) for side in products)
-        per_point.append((point, lv, rv))
-    witness = next((p for p, lv, rv in per_point if lv != rv), None)
-    max_abs = max(abs(v) for _, lv, rv in per_point for v in (lv, rv))
+    if method == "full":
+        polys = [skew_schur(s, n) for s in shapes]
+        lhs, rhs = (
+            dominant_products([(polys[i], polys[j]) for i, j in side], n).terms
+            for side in products
+        )
+        witness = max((e for e in lhs.keys() | rhs.keys() if lhs.get(e) != rhs.get(e)), default=None)
+        values, points, seed = [*lhs.values(), *rhs.values()], 0, None
+    elif method == "multipoint":
+        rng = random.Random(seed)
+        for _ in range(points):
+            point = tuple(rng.randint(0, 4) for _ in range(n))
+            value = values_at(point)
+            lv, rv = (sum(value[i] * value[j] for i, j in side) for side in products)
+            per_point.append((point, lv, rv))
+        witness = next((p for p, lv, rv in per_point if lv != rv), None)
+        values = [v for _, lv, rv in per_point for v in (lv, rv)]
+    else:
+        raise ValueError(f"unknown method {method!r}")
     return VerificationReport(
-        "multipoint", points, seed, "pass" if witness is None else "fail", witness, max_abs,
-        time.perf_counter() - t0, tuple(per_point),
+        method, points, seed, "pass" if witness is None else "fail", witness,
+        max(map(abs, values), default=0), time.perf_counter() - t0, tuple(per_point),
     )

@@ -2,10 +2,11 @@
 
 Two independent routes, exact arbitrary-precision arithmetic throughout:
 symbolic expansion (``skew_schur``), and integer evaluation through the
-determinant of complete homogeneous sums by fraction-free elimination
-(``skew_schur_eval``), which rescales a row only when it next takes part in
-a step; ``skew_schur_evaluator`` lays several shapes' matrices out once and
-reads them all from one h-vector per point.  A shape with a column taller
+determinant of complete homogeneous sums by fraction-free elimination,
+which rescales a row only when it next takes part in a step.  The one
+evaluation path is ``skew_schur_evaluator``: it lays several shapes'
+matrices out once and reads them all from one h-vector per point, and
+``skew_schur_eval`` is its one-shape case.  A shape with a column taller
 than the variables is 0 on both routes: the branching bounds leave it no
 term, and the evaluation skips its determinant by
 ``SkewShape.max_column_height`` on a point's nonzero coordinates.
@@ -392,8 +393,10 @@ def complete_homogeneous_values(values: Sequence[int], max_degree: int) -> list[
     """h_d evaluated at ``values`` for d = 0..max_degree.
 
     A zero coordinate leaves every h_d as it is, so it is skipped.  A
-    negative ``max_degree`` is refused.
+    ``max_degree`` that is not an ``int``, or is negative, is refused.
     """
+    if type(max_degree) is not int:
+        raise ValueError(f"max_degree must be an integer, got {max_degree!r}")
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative: {max_degree}")
     h = [0] * (max_degree + 1)
@@ -504,78 +507,44 @@ def _index_rows(shape: SkewShape, zero: int) -> list[itemgetter]:
     return [itemgetter(*[x - y if x >= y else zero for y in b]) for x in a]
 
 
-def _checked(h: Sequence[int], top: int) -> list[int]:
-    """h_0..h_top followed by the 0 that ``_index_rows`` reads where
-    a_i < b_j; an h-value that is not an ``int`` is refused."""
-    for d in range(top + 1):
-        if not isinstance(h[d], int):
-            raise ValueError(f"h_{d} is not an integer: {h[d]!r}")
-    return [*h[: top + 1], 0]
-
-
-def _determinant(rows: list[itemgetter], h: list[int]) -> int:
-    """The determinant of the matrix laid out as ``rows``, read from ``h``."""
-    if len(rows) == 1:
-        return rows[0](h)
-    return bareiss_determinant(_IntRows([[*row(h)] for row in rows]))
-
-
-def h_values(shapes: Sequence[SkewShape], values: Sequence[int]) -> list[int]:
-    """h_0..h_D at ``values``, D the top degree read by any shape's determinant.
-
-    One vector serves every shape evaluated at the same point, as
-    ``skew_schur_eval``'s ``h``.  A multipoint verification reads the same
-    vector through ``skew_schur_evaluator``, which builds the shapes'
-    layout once per verification and the h-vector once per point.
-    """
-    return complete_homogeneous_values(values, _top_degree(shapes))
-
-
 def skew_schur_evaluator(shapes: Sequence[SkewShape]) -> Callable[[Sequence[int]], list[int]]:
     """The values of ``shapes`` at one integer point, as a function of the point.
 
-    Each shape's Jacobi-Trudi matrix is laid out once, here, as index rows
-    into one h-vector; at each point the evaluator computes h_0..h_D once,
-    D the top degree of all the shapes, and gives each shape 0 when it has a
-    column taller than the point's nonzero coordinates, its one h-value
-    when it has one row, and otherwise its determinant, as
-    ``skew_schur_eval`` would.  Nothing outlives the returned function.
+    Each shape's Jacobi-Trudi matrix det(h_{outer_i - inner_j - i + j}), with
+    h_d = 0 for d < 0, is laid out once, here, as index rows into one
+    h-vector.  At each point the evaluator computes h_0..h_D once, D the top
+    degree of all the shapes, and refuses an h-value that is not an ``int``,
+    as at a point with a float coordinate: the elimination would floor it.
+    It gives each shape 0 when it has a column taller than the point's
+    nonzero coordinates, its one h-value when it has one row, and otherwise
+    its determinant, 1 for the empty shape.  A zero coordinate drops out of
+    s_{outer/inner}, and a column taller than the coordinates left has no
+    filling, so as a polynomial identity the first rule holds at every
+    integer point.  The matrix has a staircase of zeros in its lower-left
+    corner, which is where ``bareiss_determinant`` skips rows.  Nothing
+    outlives the returned function.
     """
     top = _top_degree(shapes)
     layout = [(s.max_column_height, _index_rows(s, top + 1)) for s in shapes]
 
     def values_at(values: Sequence[int]) -> list[int]:
-        h = _checked(complete_homogeneous_values(values, top), top)
+        h = complete_homogeneous_values(values, top)
+        for d, x in enumerate(h):
+            if not isinstance(x, int):
+                raise ValueError(f"h_{d} is not an integer: {x!r}")
+        h.append(0)  # the entry that _index_rows reads where a_i < b_j
         nonzero = len(values) - values.count(0)
-        return [0 if height > nonzero else _determinant(rows, h) for height, rows in layout]
+        return [
+            0 if height > nonzero
+            else rows[0](h) if len(rows) == 1
+            else bareiss_determinant(_IntRows([[*row(h)] for row in rows]))
+            for height, rows in layout
+        ]
 
     return values_at
 
 
-def skew_schur_eval(
-    shape: SkewShape, values: Sequence[int], h: Sequence[int] | None = None
-) -> int:
-    """Independent oracle: det(h_{outer_i - inner_j - i + j}) at integer values.
-
-    ``h`` is ``h_values`` at ``values`` for a set of shapes that includes this
-    one; it is computed for this shape alone when not given, and refused
-    when it stops short of the top degree a_1 - b_r.  A zero coordinate
-    drops out of s_{outer/inner}, and a column taller than the coordinates
-    left has no filling, so such a shape is 0 at this point with no
-    determinant; as a polynomial identity this holds at every integer
-    point.  Out-of-range indices contribute h_d = 0 for d < 0; the empty
-    shape gives 1.  The matrix has a staircase of zeros in its lower-left
-    corner, which is where ``bareiss_determinant`` skips rows.  An h-value
-    that is not an ``int``, as at a point with a float coordinate, is
-    refused: the elimination would floor it.
-    """
-    if not shape.rows:
-        return 1
-    top = _top_degree((shape,))
-    if h is not None and len(h) <= top:
-        raise ValueError(f"h has {len(h)} values, but {shape} needs {top + 1} (h_0..h_{top})")
-    if shape.max_column_height > len(values) - values.count(0):
-        return 0
-    if h is None:
-        h = complete_homogeneous_values(values, top)
-    return _determinant(_index_rows(shape, top + 1), _checked(h, top))
+def skew_schur_eval(shape: SkewShape, values: Sequence[int]) -> int:
+    """Independent oracle: s_{outer/inner} at integer ``values`` by its
+    Jacobi-Trudi determinant, the one-shape case of ``skew_schur_evaluator``."""
+    return skew_schur_evaluator((shape,))(values)[0]

@@ -97,6 +97,22 @@ def exact_determinant(matrix: Sequence[Sequence[int]]) -> int:
     return int(det)
 
 
+def top_degree(shape: SkewShape) -> int:
+    """The top degree a_1 - b_r that the Jacobi-Trudi matrix of ``shape``
+    reads, 0 for no rows: entry (i, j) is h_{a_i - b_j}, with
+    a_i = outer_i - i and b_j = inner_j - j."""
+    return shape.outer.part(1) - shape.inner.part(shape.rows) + shape.rows - 1 if shape.rows else 0
+
+
+def jacobi_trudi(shape: SkewShape, h: Sequence[int]) -> int:
+    """The Jacobi-Trudi determinant det(h_{a_i - b_j}) of ``shape`` at the
+    h-vector ``h``, h_0..h_{top_degree(shape)}, with h_d = 0 for d < 0, by
+    ``exact_determinant``; 1 for the empty shape."""
+    a = [p - i for i, p in enumerate(shape.outer, 1)]
+    b = [shape.inner.part(j) - j for j in range(1, shape.rows + 1)]
+    return exact_determinant([[h[x - y] if x >= y else 0 for y in b] for x in a])
+
+
 def first_appearance_flip_sets(
     config: CircularConfiguration, s: set[int]
 ) -> list[tuple[int, ...]]:

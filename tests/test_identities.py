@@ -14,9 +14,11 @@ from conftest import (
     full_by_disjoint_sums,
     full_by_products,
     full_instances,
+    jacobi_trudi,
     peel_expansion,
     recoloured_configuration,
     strip_instances,
+    top_degree,
 )
 from schurpaths import (
     CircularConfiguration,
@@ -473,25 +475,17 @@ class TestConsistency:
 def in_lambda(identity: Identity, rng: random.Random) -> bool:
     """Whether the sides are equal at seeded random integers h_1..h_D, h_0 = 1.
 
-    Each shape is its Jacobi-Trudi determinant in h, taken at R ones with R
-    at least every column height, so the support rule zeroes no shape.  The
-    h_d are algebraically independent in the ring of symmetric functions, so
-    an identity that holds there holds at every draw, and one that holds
-    only at its own number of variables fails at almost every draw.
+    Each shape is its Jacobi-Trudi determinant in h (``jacobi_trudi``), which
+    has no number of variables to zero a shape.  The h_d are algebraically
+    independent in the ring of symmetric functions, so an identity that
+    holds there holds at every draw, and one that holds only at its own
+    number of variables fails at almost every draw.
     """
-    shapes = identity.all_shapes()
-    top = max(
-        (s.outer[0] - s.inner.part(s.rows) + s.rows - 1 for s in shapes if s.rows), default=0
-    )
+    top = max(map(top_degree, identity.all_shapes()), default=0)
     h = [1] + [rng.randint(-(10**6), 10**6) for _ in range(top)]
-    ones = (1,) * max((s.max_column_height for s in shapes), default=0)
 
     def side(terms):
-        return sum(
-            skew_schur_eval(t.white, ones, h) * skew_schur_eval(t.black, ones, h)
-            for t in terms
-            if not t.zero
-        )
+        return sum(jacobi_trudi(t.white, h) * jacobi_trudi(t.black, h) for t in terms if not t.zero)
 
     return side(identity.lhs) == side(identity.rhs)
 
@@ -635,9 +629,18 @@ class TestVerify:
         report = verify_identity(ident, method="auto", points=5, seed=2)
         assert report.method == "multipoint" and report.passed and layouts == [a, b]
         assert determinants == [2, 2] + [2] * live
-        # full forced lays nothing out
+        # full forced lays nothing out, and expands each distinct shape once
+        expanded = []
+
+        def expanding(shape, n):
+            expanded.append(shape)
+            return skew_schur(shape, n)
+
+        skew_schur = identities.skew_schur
+        monkeypatch.setattr(identities, "skew_schur", expanding)
         layouts.clear()
         assert verify_identity(ident, method="full").passed and layouts == []
+        assert expanded == [a, b]
 
     def test_multipoint_skips_determinants_of_vanishing_shapes(self, monkeypatch):
         """A shape with a column taller than a point's nonzero coordinates is
@@ -696,6 +699,16 @@ class TestVerify:
         ident = border_strip_identity(LAM, MU, STRIPS, alphabet=11)
         with pytest.raises(ValueError):
             verify_identity(ident, method="auto", points=points)
+
+    @pytest.mark.parametrize("points", [2.5, "3", True], ids=["float", "str", "bool"])
+    def test_points_must_be_an_integer(self, points):
+        # multipoint raised TypeError on 2.5, and full, which never reads the
+        # count, accepted it silently
+        ident = border_strip_identity(P(3, 1), (), [StripSpec(1, 2, 1)], alphabet=3)
+        message = f"points must be an integer, got {points!r}"
+        for method in ("full", "multipoint", "auto"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                verify_identity(ident, method=method, points=points)
 
     def test_full_reports_witness_monomial(self):
         lhs = (ProductTerm(SkewShape(P(1)), SkewShape(P(1))),)

@@ -112,3 +112,30 @@ def test_tracer_only_imports_are_still_read():
     reads = _tracer_reads()
     unread = [f"{module}.{name}" for module, name in kept if (module, name) not in reads]
     assert ("cli", "main") in reads and not unread, f"imports the tracer no longer reads: {unread}"
+
+
+def test_every_export_is_read():
+    """Each name that ``schurpaths/__init__.py`` imports for export is read
+    by code in ``src/``, ``demos/`` or ``perfbench/``, as a ``Name`` or
+    ``Attribute`` load, so an export that only the tests and docstrings
+    still name is found for deletion."""
+    root = SRC.parent.parent
+    init = ast.parse((SRC / "__init__.py").read_text(), "__init__.py")
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read = set()
+    for folder in (SRC, root / "demos", root / "perfbench"):
+        for path in folder.rglob("*.py"):
+            if "tests" in path.relative_to(folder).parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    unread = sorted(exported - read)
+    assert len(exported) > 40 and not unread, f"exports nothing reads: {unread}"

@@ -35,7 +35,8 @@ READ_ZERO = {
     "schur.Polynomial.add": "full sums the sides' dominant coefficients, not polynomials",
     "schur.skew_schur_eval":
         "multipoint reads schur.skew_schur_evaluator, which lays each shape out once per "
-        "verification; only the s command, which the script does not run, calls skew_schur_eval",
+        "verification; only compute --method eval and selftest, which the script does not "
+        "run, call skew_schur_eval",
 }
 
 SCRIPT = """
