@@ -30,8 +30,8 @@ print("roundtrip recovers the tableau:", paths_to_tableau(family) == t)
 print()
 
 starts, ends = endpoints(shape, rows=7, shift=0)
-print("start points:", starts.values)
-print("end points:  ", ends.values)
+print("start points:", starts)
+print("end points:  ", ends)
 print()
 
 shifted = tableau_to_paths(t, shift=5)

@@ -8,7 +8,6 @@ functions, all in exact integer arithmetic.
 
 from .partitions import (
     Partition,
-    PointSet,
     SkewShape,
     StripSpec,
     add_strip,

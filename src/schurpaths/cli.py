@@ -198,8 +198,8 @@ def cmd_endpoints(args) -> int:
             "rows": rows,
             "shift": args.shift,
             "N": args.vars,
-            "starts": list(starts.values),
-            "ends": list(ends.values),
+            "starts": list(starts),
+            "ends": list(ends),
         }
     )
     return 0

@@ -153,10 +153,10 @@ def configuration_from_shapes(
     """Circular configuration of the start/end points of the two families."""
     rows_w = rows[0] if rows[0] is not None else white.rows
     rows_b = rows[1] if rows[1] is not None else black.rows
-    ws = to_points(white.inner, rows_w, shifts[0]).values
-    we = to_points(white.outer, rows_w, shifts[0]).values
-    bs = to_points(black.inner, rows_b, shifts[1]).values
-    be = to_points(black.outer, rows_b, shifts[1]).values
+    ws = to_points(white.inner, rows_w, shifts[0])
+    we = to_points(white.outer, rows_w, shifts[0])
+    bs = to_points(black.inner, rows_b, shifts[1])
+    be = to_points(black.outer, rows_b, shifts[1])
     return CircularConfiguration.from_point_sets(ws, we, bs, be)
 
 

@@ -1,12 +1,13 @@
 """Partitions, skew shapes, and the boundary point model.
 
 A partition with at most ``rows`` parts and an integer ``shift`` is encoded
-by the strictly decreasing point set ``{part(i) - i + shift : 1 <= i <= rows}``
-(parts padded with zeros).  Every border strip operation in this module is
-one edit of the tuple of boundary points, removing one point and perhaps
-inserting another, reread as a partition by ``_reread``; the familiar
-row-wise descriptions are consequences and are checked as properties in the
-test suite.
+by the strictly decreasing tuple of points ``part(i) - i + shift`` for
+``1 <= i <= rows`` (parts padded with zeros), which ``to_points`` returns.
+``_parts`` is the one decoder of points back into a partition.  Every border
+strip operation in this module is one edit of the tuple of boundary points,
+removing one point and perhaps inserting another, reread as a partition by
+``_reread``; the familiar row-wise descriptions are consequences and are
+checked as properties in the test suite.
 """
 
 from __future__ import annotations
@@ -76,35 +77,35 @@ class Partition(tuple):
 
 @dataclass(frozen=True)
 class PointSet:
-    """Strictly decreasing integers encoding a partition at a fixed shift."""
+    """Strictly decreasing integers encoding a partition at a fixed shift.
+
+    Nothing in the package builds one; it stays because
+    ``perfbench/tracing.py`` rebinds ``partition``.
+    """
 
     values: tuple[int, ...]
     shift: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _points(self.values))
-
-    @property
-    def rows(self) -> int:
-        return len(self.values)
+        if not hasattr(type(self.shift), "__index__"):
+            raise ValueError(f"shift must be an integer: {self.shift!r}")
 
     def partition(self) -> Partition:
         """Reread the point set as a partition; inverse of :func:`to_points`."""
-        parts = []
-        for i, v in enumerate(self.values, start=1):
-            part = v + i - self.shift
-            if part < 0:
-                raise ValueError(f"row {i} would have length {part}")
-            parts.append(part)
-        return Partition(parts)
+        return _parts(self.values, self.shift)
 
 
-def to_points(p: Partition, rows: int, shift: int = 0) -> PointSet:
-    """Boundary points ``part(i) - i + shift`` for ``i = 1..rows``."""
+def to_points(p: Partition, rows: int, shift: int = 0) -> tuple[int, ...]:
+    """The strictly decreasing boundary points ``part(i) - i + shift`` for
+    ``i = 1..rows``.  A ``rows`` that is not an integer is refused, and a
+    ``shift`` that is not one by the point it makes."""
     p = Partition(p)
+    if not hasattr(type(rows), "__index__"):
+        raise ValueError(f"rows must be an integer: {rows!r}")
     if rows < len(p):
         raise ValueError(f"need at least {len(p)} rows, got {rows}")
-    return PointSet(tuple(p.part(i) - i + shift for i in range(1, rows + 1)), shift)
+    return integers([p.part(i) - i + shift for i in range(1, rows + 1)], "points")
 
 
 @dataclass(frozen=True)
@@ -182,13 +183,9 @@ def canonical_shape(starts: Sequence[int], ends: Sequence[int]) -> tuple[SkewSha
 
     The shift is the largest one for which both decoded partitions are
     nonnegative, which makes the smallest decoded part zero; with no points
-    it is 0 and the shape is empty.  The points are refused with
-    :class:`PointSet`'s messages, ends first.  Each side's parts
-    x_i + i - shift are then read in one C-level pass and made a
-    ``Partition`` with no second check: the points are integers that
-    strictly decrease, so x_i + i weakly decreases in i, and at the largest
-    nonnegative shift no part is negative, so the zeros are the trailing
-    parts, which are dropped.  No refusal of ``Partition`` could fire.
+    it is 0 and the shape is empty.  Points that are not integers or do not
+    strictly decrease are refused by ``_points``, ends first, and each side
+    is read by ``_parts``, where no part is negative at this shift.
     """
     ends, starts = _points(ends), _points(starts)
     shift = min((points[-1] + len(points) for points in (starts, ends) if points), default=0)
@@ -196,9 +193,18 @@ def canonical_shape(starts: Sequence[int], ends: Sequence[int]) -> tuple[SkewSha
 
 
 def _parts(points: tuple[int, ...], shift: int) -> Partition:
-    """The parts x_i + i - shift of checked points at a shift that leaves
-    none negative, trailing zeros dropped, as a ``Partition``."""
+    """The one decoder of boundary points: the partition of integer
+    ``points`` that strictly decrease, at the integer ``shift``.
+
+    The parts x_i + i - shift, read in one C-level pass, weakly decrease, so
+    the first negative row is refused only if the last part is negative;
+    otherwise the zeros trail and are dropped, and the parts are made a
+    ``Partition`` with no second check.
+    """
     parts = list(map(add, points, range(1 - shift, len(points) + 1 - shift)))
+    if parts and parts[-1] < 0:
+        i = next(i for i, part in enumerate(parts, 1) if part < 0)
+        raise ValueError(f"row {i} would have length {parts[i - 1]}")
     del parts[len(parts) - parts.count(0) :]
     return tuple.__new__(Partition, parts)
 
@@ -219,9 +225,10 @@ class StripSpec:
 def _reread(points: Iterable[int]) -> Partition:
     """The partition of the shift-0 points ``points``, taken in any order.
 
-    A point given twice is refused by the strict decrease of ``PointSet``.
+    A point given twice is refused by the strict decrease that ``_points``
+    checks.
     """
-    return PointSet(tuple(sorted(points, reverse=True))).partition()
+    return _parts(_points(sorted(points, reverse=True)), 0)
 
 
 def peel_complete(p: Partition) -> Partition:
@@ -229,7 +236,7 @@ def peel_complete(p: Partition) -> Partition:
     p = Partition(p)
     if not p:
         raise ValueError("cannot peel the empty partition")
-    return _reread(to_points(p, len(p)).values[1:])
+    return _reread(to_points(p, len(p))[1:])
 
 
 def peel_down(p: Partition, i: int) -> Partition:
@@ -240,7 +247,7 @@ def peel_down(p: Partition, i: int) -> Partition:
     p = Partition(p)
     if not 1 <= i <= len(p):
         raise ValueError(f"row {i} outside 1..{len(p)}")
-    pts = to_points(p, len(p)).values
+    pts = to_points(p, len(p))
     return _reread(pts[: i - 1] + pts[i:])
 
 
@@ -259,7 +266,7 @@ def peel_up(p: Partition, i: int, t: int) -> Partition:
             f"box {t} outside 1..{p.part(i) - p.part(i + 1)} for row {i}"
         )
     # the new point lies strictly between the points of rows i + 1 and i
-    return _reread(to_points(p, len(p)).values[1:] + (p.part(i + 1) - (i + 1) + t,))
+    return _reread(to_points(p, len(p))[1:] + (p.part(i + 1) - (i + 1) + t,))
 
 
 def add_strip(p: Partition, s: StripSpec) -> Partition:
@@ -279,7 +286,7 @@ def add_strip(p: Partition, s: StripSpec) -> Partition:
         raise ValueError(
             f"boxes {t} exceeds {p.part(r - 1)} - {p.part(r)} available in row {r}"
         )
-    pts = to_points(p, len(p)).values
+    pts = to_points(p, len(p))
     # the new point lies strictly between the points of rows r and r - 1
     return _reread(pts[: r + m - 2] + pts[r + m - 1 :] + (p.part(r) - r + t,))
 

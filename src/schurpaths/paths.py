@@ -6,7 +6,9 @@ drawn from the tableau's rows.  Path ``i`` of a family for shape
 ``outer/inner`` at shift ``t`` runs from ``(inner_i - i + t, 1)`` to
 ``(outer_i - i + t, N)``, and its ``heights``, the levels of its horizontal
 steps in order, are row ``i`` of the tableau.  Paths are counted from the
-right, so path 1 is the rightmost.
+right, so path 1 is the rightmost.  The x-coordinates of the start and end
+points are the boundary points of ``inner`` and ``outer`` at shift ``t``
+(``partitions.to_points``), each a strictly decreasing tuple of ints.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .partitions import PointSet, SkewShape, canonical_shape, to_points
+from .partitions import SkewShape, canonical_shape, to_points
 from .tableaux import CellViolation, Tableau, validate_tableau, weight
 
 Point = tuple[int, int]
@@ -98,10 +100,10 @@ class PathFamily:
         return out
 
     def start_xs(self) -> tuple[int, ...]:
-        return to_points(self.shape.inner, self.rows, self.shift).values
+        return to_points(self.shape.inner, self.rows, self.shift)
 
     def end_xs(self) -> tuple[int, ...]:
-        return to_points(self.shape.outer, self.rows, self.shift).values
+        return to_points(self.shape.outer, self.rows, self.shift)
 
     def to_json(self) -> dict:
         out = {
@@ -202,7 +204,8 @@ def family_from_paths(paths: Iterable[LatticePath], alphabet: int) -> PathFamily
     return PathFamily(t, shift, len(ordered))
 
 
-def endpoints(shape: SkewShape, rows: int, shift: int) -> tuple[PointSet, PointSet]:
-    """Start points (bottom level) and end points (top level) of a family."""
+def endpoints(shape: SkewShape, rows: int, shift: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The x-coordinates of a family's start points (bottom level) and end
+    points (top level), each a strictly decreasing tuple."""
     ends = to_points(shape.outer, rows, shift)  # too few rows: name outer's row count
     return to_points(shape.inner, rows, shift), ends

@@ -485,26 +485,24 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     return sign * last
 
 
-def _top_degree(shapes: Sequence[SkewShape]) -> int:
-    """D, the top degree read by any shape's Jacobi-Trudi matrix, 0 for none.
+def _top_degree(s: SkewShape) -> int:
+    """D, the top degree read by the shape's Jacobi-Trudi matrix, 0 for no rows.
 
     Entry (i, j) of the matrix of outer/inner with r rows is h_{a_i - b_j},
     a_i = outer_i - i and b_j = inner_j - j; both strictly decrease, so D is
     a_1 - b_r = outer_1 - inner_r + r - 1.
     """
-    return max(
-        (s.outer[0] - s.inner.part(s.rows) + s.rows - 1 for s in shapes if s.rows), default=0
-    )
+    return s.outer[0] - s.inner.part(s.rows) + s.rows - 1 if s.rows else 0
 
 
-def _index_rows(shape: SkewShape, zero: int) -> list[itemgetter]:
+def _index_rows(shape: SkewShape) -> list[itemgetter]:
     """The Jacobi-Trudi matrix of ``shape`` as one ``itemgetter`` per row, to
-    read from h_0..h_D followed by a 0 at index ``zero``: entry (i, j) is
-    a_i - b_j, or ``zero`` where a_i < b_j.  A one-row shape's getter
-    returns its one h-value, not a tuple."""
+    read from h_0..h_D followed by a 0: entry (i, j) is a_i - b_j, or -1,
+    the index of that 0, where a_i < b_j.  A one-row shape's getter returns
+    its one h-value, not a tuple."""
     a = [p - i for i, p in enumerate(shape.outer, 1)]
     b = [shape.inner.part(j) - j for j in range(1, shape.rows + 1)]
-    return [itemgetter(*[x - y if x >= y else zero for y in b]) for x in a]
+    return [itemgetter(*[x - y if x >= y else -1 for y in b]) for x in a]
 
 
 def skew_schur_evaluator(shapes: Sequence[SkewShape]) -> Callable[[Sequence[int]], list[int]]:
@@ -512,33 +510,35 @@ def skew_schur_evaluator(shapes: Sequence[SkewShape]) -> Callable[[Sequence[int]
 
     Each shape's Jacobi-Trudi matrix det(h_{outer_i - inner_j - i + j}), with
     h_d = 0 for d < 0, is laid out once, here, as index rows into one
-    h-vector.  At each point the evaluator computes h_0..h_D once, D the top
-    degree of all the shapes, and refuses an h-value that is not an ``int``,
-    as at a point with a float coordinate: the elimination would floor it.
-    It gives each shape 0 when it has a column taller than the point's
-    nonzero coordinates, its one h-value when it has one row, and otherwise
-    its determinant, 1 for the empty shape.  A zero coordinate drops out of
-    s_{outer/inner}, and a column taller than the coordinates left has no
-    filling, so as a polynomial identity the first rule holds at every
-    integer point.  The matrix has a staircase of zeros in its lower-left
-    corner, which is where ``bareiss_determinant`` skips rows.  Nothing
-    outlives the returned function.
+    h-vector.  It gives each shape 0 when it has a column taller than the
+    point's nonzero coordinates, its one h-value when it has one row, and
+    otherwise its determinant, 1 for the empty shape.  A zero coordinate
+    drops out of s_{outer/inner}, and a column taller than the coordinates
+    left has no filling, so as a polynomial identity the first rule holds at
+    every integer point.  At each point the evaluator computes h_0..h_D once,
+    D the top degree of the shapes that rule leaves, but at least 1 when any
+    shape's is, and refuses an h-value that is not an ``int``, as h_1 at a
+    point with a float coordinate: the elimination would floor it.  The
+    matrix has a staircase of zeros in its lower-left corner, which is where
+    ``bareiss_determinant`` skips rows.  Nothing outlives the returned
+    function.
     """
-    top = _top_degree(shapes)
-    layout = [(s.max_column_height, _index_rows(s, top + 1)) for s in shapes]
+    layout = [(s.max_column_height, _top_degree(s), _index_rows(s)) for s in shapes]
+    least = min(1, max((top for _, top, _ in layout), default=0))
 
     def values_at(values: Sequence[int]) -> list[int]:
-        h = complete_homogeneous_values(values, top)
+        nonzero = len(values) - values.count(0)
+        degree = max((top for height, top, _ in layout if height <= nonzero), default=0)
+        h = complete_homogeneous_values(values, max(degree, least))
         for d, x in enumerate(h):
             if not isinstance(x, int):
                 raise ValueError(f"h_{d} is not an integer: {x!r}")
         h.append(0)  # the entry that _index_rows reads where a_i < b_j
-        nonzero = len(values) - values.count(0)
         return [
             0 if height > nonzero
             else rows[0](h) if len(rows) == 1
             else bareiss_determinant(_IntRows([[*row(h)] for row in rows]))
-            for height, rows in layout
+            for height, _, rows in layout
         ]
 
     return values_at

@@ -199,7 +199,7 @@ def peel_expansion(
 
     def diagram(outer: Partition, rows: int) -> SkewShape:
         SkewShape(outer, mu)  # refuses an outer shape that does not contain mu
-        return canonical_shape(to_points(mu, rows).values, to_points(outer, rows).values)[0]
+        return canonical_shape(to_points(mu, rows), to_points(outer, rows))[0]
 
     return [ProductTerm(diagram(w, rw), diagram(b, rb)) for w, rw, b, rb in pairs]
 

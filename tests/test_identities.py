@@ -294,7 +294,7 @@ class TestRecolouringExpansion:
 
         def up_to_shift(shape, starts, ends):
             rows = len(ends)
-            got = [to_points(p, rows).values for p in (shape.inner, shape.outer)]
+            got = [to_points(p, rows) for p in (shape.inner, shape.outer)]
             t = ends[0] - got[1][0]
             return [[x + t for x in xs] for xs in got] == [starts, ends]
 
@@ -594,9 +594,9 @@ class TestVerify:
         the layout that multipoint then uses, so each shape is laid out once."""
         layouts, determinants = [], []
 
-        def laying_out(shape, zero):
+        def laying_out(shape):
             layouts.append(shape)
-            return index_rows(shape, zero)
+            return index_rows(shape)
 
         def counting(matrix):
             determinants.append(len(matrix))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from schurpaths import (
     Partition,
-    PointSet,
     SkewShape,
     StripSpec,
     add_strip,
@@ -21,6 +20,7 @@ from schurpaths import (
     skew_schur,
     to_points,
 )
+from schurpaths.partitions import PointSet, _parts
 from conftest import partitions_up_to, shapes_up_to
 
 LAM = Partition((10, 7, 7, 6, 6, 4, 4, 3, 2, 2))
@@ -84,28 +84,40 @@ class TestValidatePartition:
 class TestPoints:
     def test_first_value_large_example(self):
         lam = Partition((14, 13, 13, 11, 11, 9, 9, 8, 8, 7, 5, 3))
-        assert to_points(lam, 12, 2).values[0] == 15
+        assert to_points(lam, 12, 2)[0] == 15
 
     def test_last_value_large_example(self):
         mu = Partition((9, 9, 9, 6, 6, 5, 4, 4, 4, 3, 1))
-        assert to_points(mu, 12, 2).values[-1] == -10
+        assert to_points(mu, 12, 2)[-1] == -10
 
     def test_zero_shift(self):
-        assert to_points(LAM, 10, 0).values == (9, 5, 4, 2, 1, -2, -3, -5, -7, -8)
+        assert to_points(LAM, 10, 0) == (9, 5, 4, 2, 1, -2, -3, -5, -7, -8)
 
     def test_rows_too_small(self):
         with pytest.raises(ValueError, match=r"need at least 2 rows, got 1"):
             to_points(Partition((2, 1)), 1, 0)
 
+    def test_rows_not_an_integer(self):
+        with pytest.raises(ValueError, match=r"^rows must be an integer: 2\.0$"):
+            to_points(Partition((2, 1)), 2.0)
+
+    def test_shift_not_an_integer(self):
+        # refused by the first point it makes, 1 - 1 + 1.5
+        with pytest.raises(ValueError, match=r"^points must be integers: 1\.5$"):
+            to_points(Partition((1,)), 1, 1.5)
+
     def test_from_points_inverse(self):
-        ps = PointSet((9, 5, 4, 2, 1, -2, -3, -5, -7, -8), 0)
-        assert ps.partition() == LAM
+        points = (9, 5, 4, 2, 1, -2, -3, -5, -7, -8)
+        assert _parts(points, 0) == LAM == PointSet(points).partition()
 
     def test_empty(self):
-        assert PointSet((), 0).partition() == Partition()
+        assert _parts((), 0) == Partition()
 
     def test_negative_resulting_part(self):
-        with pytest.raises(ValueError, match=r"row 1 would have length -1"):
+        # the first negative row is named, though the later rows are more negative
+        with pytest.raises(ValueError, match=r"^row 2 would have length -1$"):
+            _parts((0, -3, -5), 0)
+        with pytest.raises(ValueError, match=r"^row 1 would have length -1$"):
             PointSet((-2,), 0).partition()
 
     def test_canonical_shape(self):
@@ -120,14 +132,25 @@ class TestPoints:
     def test_non_integer_point_refused(self):
         with pytest.raises(ValueError, match=r"^points must be integers: 3\.0$"):
             PointSet((3.0, 1))
+        with pytest.raises(ValueError, match=r"^shift must be an integer: 1\.5$"):
+            PointSet((3, 1), 1.5)
 
     @staticmethod
     def point_set_route(starts, ends):
-        """The decode through ``PointSet(...).partition()``, at the same shift."""
+        """A second decode, at the same shift: each side checked as a
+        ``PointSet``, ends first, then read row by row, the first negative
+        row refused."""
         shift = min((xs[-1] + len(xs) for xs in (starts, ends) if xs), default=0)
-        outer = PointSet(tuple(ends), shift).partition()
-        inner = PointSet(tuple(starts), shift).partition()
-        return SkewShape(outer, inner), shift
+        sides = []
+        for xs in (PointSet(tuple(ends)).values, PointSet(tuple(starts)).values):
+            parts = []
+            for i, x in enumerate(xs, start=1):
+                part = x + i - shift
+                if part < 0:
+                    raise ValueError(f"row {i} would have length {part}")
+                parts.append(part)
+            sides.append(Partition(parts))
+        return SkewShape(*sides), shift
 
     def test_canonical_shape_agrees_with_point_set_route(self):
         cases = [
@@ -225,8 +248,8 @@ class TestPoints:
             shape, shift = canonical_shape(starts, ends)
             points = list(enumerate(starts, 1)) + list(enumerate(ends, 1))
             assert shift == min((x + i for i, x in points), default=0)
-            assert to_points(shape.outer, n, shift).values == tuple(ends)
-            assert to_points(shape.inner, n, shift).values == tuple(starts)
+            assert to_points(shape.outer, n, shift) == tuple(ends)
+            assert to_points(shape.inner, n, shift) == tuple(starts)
 
     @given(
         st.lists(st.integers(min_value=1, max_value=9), max_size=6),
@@ -236,7 +259,7 @@ class TestPoints:
     @settings(max_examples=200, derandomize=True)
     def test_roundtrip(self, parts, extra_rows, shift):
         p = Partition(sorted(parts, reverse=True))
-        assert to_points(p, len(p) + extra_rows, shift).partition() == p
+        assert _parts(to_points(p, len(p) + extra_rows, shift), shift) == p
 
 
 class TestPeelComplete:

@@ -101,20 +101,20 @@ class TestEndpoints:
         sigma = Partition((14, 14, 12, 12, 11, 11, 11, 9, 8, 7, 7, 5))
         tau = Partition((10, 10, 8, 8, 8, 7, 6, 6, 6, 5, 2))
         starts, ends = endpoints(SkewShape(sigma, tau), 12, 0)
-        assert ends.values[0] == 13
+        assert ends[0] == 13
 
     def test_white_family_extremes(self):
         lam = Partition((14, 13, 13, 11, 11, 9, 9, 8, 8, 7, 5, 3))
         mu = Partition((9, 9, 9, 6, 6, 5, 4, 4, 4, 3, 1))
         starts, ends = endpoints(SkewShape(lam, mu), 12, 2)
-        assert ends.values[0] == 15
-        assert starts.values[-1] == -10
+        assert ends[0] == 15
+        assert starts[-1] == -10
 
     def test_recoloured_family_end(self):
         lam = Partition((13, 13, 11, 11, 9, 9, 8, 8, 7, 5, 3))
         mu = Partition((9, 9, 7, 7, 7, 6, 5, 5, 5, 4))
         _, ends = endpoints(SkewShape(lam, mu), 11, 1)
-        assert ends.values[10] == -7
+        assert ends[10] == -7
 
 
 # outcomes of the seeded corpus below, taken when paths were checked by drawing them

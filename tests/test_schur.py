@@ -566,6 +566,26 @@ class TestEvalOracle:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             skew_schur_eval(shape, point)
 
+    def test_h_only_to_the_top_degree_of_the_shapes_left(self, monkeypatch):
+        """At each point the h-vector stops at the top degree of the shapes
+        that no column taller than the point's nonzero coordinates makes 0,
+        and at degree 1 when none is left but one reads h_1 or more, so that
+        a float point is still refused."""
+        degrees = []
+
+        def counting(values, max_degree):
+            degrees.append(max_degree)
+            return complete_homogeneous_values(values, max_degree)
+
+        monkeypatch.setattr("schurpaths.schur.complete_homogeneous_values", counting)
+        column, row = SkewShape(P(*[1] * 6)), SkewShape(P(2))  # top degrees 6 and 2
+        for point in [(1, 2, 0, 3, 1, 1, 2), (1, 2, 0, 3)]:
+            expected = [skew_schur(s, len(point)).evaluate(point) for s in (column, row)]
+            assert skew_schur_evaluator((column, row))(point) == expected
+        assert skew_schur_evaluator((column,))((1, 0)) == [0]
+        assert skew_schur_evaluator((SkewShape(P(1), P(1)),))((1, 0)) == [1]
+        assert degrees == [6, 2, 1, 0]
+
     def test_straight_shapes_are_symmetric(self):
         import itertools
 

@@ -114,6 +114,26 @@ def test_tracer_only_imports_are_still_read():
     assert ("cli", "main") in reads and not unread, f"imports the tracer no longer reads: {unread}"
 
 
+def test_point_set_is_only_the_tracer_hook():
+    """``partitions.PointSet`` stays only because ``install`` rebinds
+    ``PointSet.partition``: no module of ``src/`` builds one outside the
+    class, and once ``install`` stops reading it this names the class for
+    deletion."""
+    built = []
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(top, ast.ClassDef) and top.name == "PointSet":
+                continue
+            built += [
+                f"{path.relative_to(SRC)}:{node.lineno}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and "PointSet" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            ]
+    assert not built, f"PointSet built in src/: {built}"
+    assert ("partitions", "PointSet") in _tracer_reads(), "the tracer no longer reads PointSet: delete it"
+
+
 def test_every_export_is_read():
     """Each name that ``schurpaths/__init__.py`` imports for export is read
     by code in ``src/``, ``demos/`` or ``perfbench/``, as a ``Name`` or
