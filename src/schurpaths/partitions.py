@@ -88,8 +88,6 @@ class PointSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _points(self.values))
-        if not hasattr(type(self.shift), "__index__"):
-            raise ValueError(f"shift must be an integer: {self.shift!r}")
 
     def partition(self) -> Partition:
         """Reread the point set as a partition; inverse of :func:`to_points`."""

@@ -132,8 +132,6 @@ class TestPoints:
     def test_non_integer_point_refused(self):
         with pytest.raises(ValueError, match=r"^points must be integers: 3\.0$"):
             PointSet((3.0, 1))
-        with pytest.raises(ValueError, match=r"^shift must be an integer: 1\.5$"):
-            PointSet((3, 1), 1.5)
 
     @staticmethod
     def point_set_route(starts, ends):
